@@ -10,20 +10,32 @@ under 31 bits), so a membership test is an integer compare.
 
 Hard-input engine: pattern syndromes are frame-independent, so each weight
 class is precomputed and sorted once; a decode is one binary search per
-weight class. Soft-input engines depend on the per-frame reliability
-permutation, so they gather per-pattern column syndromes and XOR-reduce
-them in growing blocks, stopping at the first block with a match.
+weight class.
+
+Soft-input engines depend on the per-frame reliability permutation.
+SoftEngine serves any stream (orbgrand, and the stepped schedule as a
+reference): per frame it gathers per-pattern column syndromes and
+XOR-reduces them in growing blocks, stopping at the first block with a
+match. StepEngine searches the stepped schedule the way the composite-
+syndrome hardware of `hwmodel` does, batched over all frames of a chunk:
+weights 1 and 2 are direct compares, and each higher weight is a sweep of
+anchors (the pattern's lowest ranks, all but two) completed by one lookup
+in a sorted bank of two-flip syndromes. It reports the hardware time step
+of each hit beside its stream position, so cycle counts need no per-frame
+latency model.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codes import LinearCode
-from .decoder import DecoderSpec, GrandabSpec
+from .decoder import DecoderSpec, GrandabSpec, StepGrandSpec
+from .hwmodel import anchor_steps
 
 
 def packed_parity_columns(code: LinearCode) -> np.ndarray:
@@ -105,7 +117,42 @@ class HardEngine:
         return reports
 
 
-class SoftEngine:
+class _RankPatterns:
+    """A soft engine's pattern stream as a table of reliability ranks.
+
+    rank_index[row] holds the 0-based ranks flipped by the pattern at stream
+    position row, padded with n; weights[row] is its flip count.
+    """
+
+    rank_index: np.ndarray
+    weights: np.ndarray
+    pattern_count: int
+
+    def hit_ranks(self, stream_position: int) -> tuple[int, ...]:
+        """1-based reliability ranks of the pattern at a stream position."""
+        w = int(self.weights[stream_position])
+        return tuple(int(r) + 1 for r in self.rank_index[stream_position, :w])
+
+    def _report(self, perm: np.ndarray, row: int) -> HitReport:
+        if row < 0:
+            return HitReport(-1, ())
+        ranks = self.rank_index[row, :self.weights[row]]
+        return HitReport(row, tuple(sorted(int(perm[r]) for r in ranks)))
+
+    def flip_mask(self, perms: np.ndarray, stream_position: np.ndarray) -> np.ndarray:
+        """Flipped bit positions per frame as an (m, n) bool mask; frames
+        with stream_position -1 flip nothing. perms is (m, n), one rank to
+        position map per frame."""
+        m, n = perms.shape
+        ranks = self.rank_index[stream_position]
+        ranks[stream_position < 0] = n
+        padded = np.concatenate([perms, np.full((m, 1), n, dtype=perms.dtype)], axis=1)
+        mask = np.zeros((m, n + 1), dtype=bool)
+        mask[np.arange(m)[:, None], np.take_along_axis(padded, ranks, axis=1)] = True
+        return mask[:, :n]
+
+
+class SoftEngine(_RankPatterns):
     """Rank-pattern sweep against a per-frame reliability permutation."""
 
     # block boundaries grow geometrically so early hits stay cheap while a
@@ -154,21 +201,185 @@ class SoftEngine:
                      ) -> HitReport:
         """perm maps rank-1 (index 0) to the bit position holding that rank."""
         sigma = np.append(columns[perm], np.int32(0))
-        row = self.scan(sigma, target)
-        if row < 0:
-            return HitReport(-1, ())
-        w = int(self.weights[row])
-        ranks = self.rank_index[row, :w]
-        positions = tuple(sorted(int(perm[r]) for r in ranks))
-        return HitReport(row, positions)
+        return self._report(perm, self.scan(sigma, target))
 
-    def hit_ranks(self, stream_position: int) -> tuple[int, ...]:
-        """1-based reliability ranks of the pattern at a stream position."""
-        w = int(self.weights[stream_position])
-        return tuple(int(r) + 1 for r in self.rank_index[stream_position, :w])
+    # bound in SoftEngine's own namespace: bench/layers.py patches the
+    # engine's methods by class attribute
+    hit_ranks = _RankPatterns.hit_ranks
+
+
+@dataclass(frozen=True)
+class _Entry:
+    """Search tables for one schedule entry: weight-w patterns over the gamma
+    least reliable ranks, which start at stream position offset.
+
+    pair_i/pair_j list the two-flip bank over [0, gamma) in lexicographic
+    order (w >= 2). For w >= 3 each row of anchors holds the w - 2 lowest
+    ranks of a pattern, in lexicographic order; first_pair is the bank index
+    of the anchor's first completion (the pairs with i above its last rank
+    form a suffix of the bank), and before counts the entry's patterns that
+    precede the anchor. base_step is the hardware time step before the
+    entry's first anchor.
+    """
+
+    gamma: int
+    weight: int
+    offset: int
+    pair_i: np.ndarray | None = None
+    pair_j: np.ndarray | None = None
+    anchors: np.ndarray | None = None
+    first_pair: np.ndarray | None = None
+    before: np.ndarray | None = None
+    base_step: int = 0
+
+
+def _combinations(size: int, k: int) -> np.ndarray:
+    return np.array(list(itertools.combinations(range(size), k)),
+                    dtype=np.int32).reshape(-1, k)
+
+
+class StepEngine(_RankPatterns):
+    """Anchor x pair-bank search of the stepped schedule, batched over frames.
+
+    Mirrors the composite-syndrome hardware of `hwmodel`. Entries are tried
+    in schedule order and a frame resolves at its first entry with a match.
+    Weights 1 and 2 compare the target with every single/pair syndrome of
+    the entry at once. For weight w >= 3 each anchor (the w - 2 lowest
+    ranks) is completed by the bank of two-flip syndromes: int64 keys
+    (frame, pair syndrome, pair index) are sorted once per entry, and a
+    binary search per anchor for (frame, target ^ anchor syndrome, first
+    valid pair index) finds the lexicographically first completion. The frame's
+    first anchor with a hit gives the first match of the stream, and the
+    anchor index is the hardware time step.
+
+    Frames go through in slices of slice_frames to keep the working set
+    small; the frame index within a slice is the key's top field.
+    """
+
+    slice_frames = 64
+
+    def __init__(self, code: LinearCode, spec: StepGrandSpec):
+        self.code = code
+        self.spec = spec
+        n = code.n
+        parity_bits = code.n - code.k
+        schedule = spec.schedule(n)
+        # abandoned frames run through every time step
+        base_steps, self.last_step = anchor_steps(schedule)
+        entries = []
+        blocks = []
+        offset = 0
+        for gamma, w in schedule.entries:
+            combos = _combinations(gamma, w)
+            entry = dict(gamma=gamma, weight=w, offset=offset)
+            if w >= 2:
+                pairs = _combinations(gamma, 2)
+                entry.update(pair_i=pairs[:, 0], pair_j=pairs[:, 1])
+            if w >= 3:
+                anchors = _combinations(gamma - 2, w - 2)
+                last = anchors[:, -1].astype(np.int64)
+                # bank index of pair (last + 1, last + 2), and the number of
+                # pairs above last, in a lexicographic bank over [0, gamma)
+                first = (last + 1) * (gamma - 1) - (last + 1) * last // 2
+                per_anchor = (gamma - 1 - last) * (gamma - 2 - last) // 2
+                entry.update(anchors=anchors, first_pair=first,
+                             before=np.cumsum(per_anchor) - per_anchor,
+                             base_step=base_steps[w])
+            entries.append(_Entry(**entry))
+            blocks.append(combos)
+            offset += len(combos)
+        self.entries = entries
+
+        width = max(b.shape[1] for b in blocks)
+        self.rank_index = np.full((offset, width), n, dtype=np.int32)
+        self.weights = np.zeros(offset, dtype=np.int8)
+        for e, b in zip(entries, blocks):
+            self.rank_index[e.offset:e.offset + len(b), :e.weight] = b
+            self.weights[e.offset:e.offset + len(b)] = e.weight
+        self.pattern_count = offset
+
+        self.pair_bits = max(((math.comb(e.gamma, 2) - 1).bit_length()
+                              for e in entries if e.weight >= 3), default=0)
+        self.frame_shift = self.pair_bits + parity_bits
+        frame_bits = (self.slice_frames - 1).bit_length()
+        if frame_bits + self.frame_shift > 63:
+            raise ValueError(
+                f"search key needs {frame_bits} frame + {parity_bits} syndrome"
+                f" + {self.pair_bits} pair-index bits, more than 63"
+            )
+
+    def search(self, perms: np.ndarray, columns: np.ndarray, targets: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Stream position (-1 when abandoned) and hardware time step of the
+        first match, per frame.
+
+        perms is (m, n): row i maps rank-1 (index 0) to the bit position
+        holding that rank in frame i; targets are the m nonzero syndromes.
+        The time step is 1 for one flip, 2 for two, and for more the
+        composite steps of earlier entries plus the 1-based anchor index
+        after those two; abandoned frames take the last step.
+        """
+        m = len(targets)
+        pos = np.full(m, -1, dtype=np.int64)
+        step = np.full(m, self.last_step, dtype=np.int64)
+        for lo in range(0, m, self.slice_frames):
+            hi = min(lo + self.slice_frames, m)
+            self._search_slice(columns[perms[lo:hi]], targets[lo:hi],
+                               pos[lo:hi], step[lo:hi])
+        return pos, step
+
+    def _search_slice(self, sigma, targets, pos, step) -> None:
+        """Fill pos/step (views) for one slice; sigma[f, r] is the syndrome
+        of a lone flip at frame f's rank r."""
+        frames = np.arange(len(sigma))
+        for e in self.entries:
+            if frames.size == 0:
+                return
+            sig, t = sigma[frames], targets[frames]
+            if e.weight <= 2:
+                if e.weight == 1:
+                    syn = sig[:, :e.gamma]
+                else:
+                    syn = sig[:, e.pair_i] ^ sig[:, e.pair_j]
+                eq = syn == t[:, None]
+                found = eq.any(axis=1)
+                row = eq.argmax(axis=1)
+                at_step = np.full(len(frames), e.weight)
+            else:
+                found, row, at_step = self._composite(e, sig, t)
+            hit = frames[found]
+            pos[hit] = e.offset + row[found]
+            step[hit] = at_step[found]
+            frames = frames[~found]
+
+    def _composite(self, e: _Entry, sig, t):
+        """Per frame: whether the entry has a match, its index within the
+        entry, and its time step."""
+        pb, sb = self.pair_bits, self.frame_shift
+        f = np.arange(len(sig), dtype=np.int64)[:, None] << sb
+        pair_syn = (sig[:, e.pair_i] ^ sig[:, e.pair_j]).astype(np.int64)
+        keys = np.sort((f | (pair_syn << pb) | np.arange(len(e.pair_i))).ravel())
+        anchor_syn = np.bitwise_xor.reduce(sig[:, e.anchors], axis=2)
+        query = f | ((anchor_syn ^ t[:, None]).astype(np.int64) << pb) | e.first_pair
+        at = np.searchsorted(keys, query)
+        got = keys[np.minimum(at, len(keys) - 1)]
+        hits = (at < len(keys)) & (got >> pb == query >> pb)
+        found = hits.any(axis=1)
+        a = hits.argmax(axis=1)
+        pair = got[np.arange(len(sig)), a] & ((1 << pb) - 1)
+        return found, e.before[a] + pair - e.first_pair[a], e.base_step + a + 1
+
+    def decode_frame(self, perm: np.ndarray, columns: np.ndarray, target: int
+                     ) -> HitReport:
+        """One frame through the batched search; perm as in SoftEngine."""
+        pos, _ = self.search(perm[None, :], columns,
+                             np.array([target], dtype=np.int32))
+        return self._report(perm, int(pos[0]))
 
 
 def build_engine(code: LinearCode, spec: DecoderSpec):
     if isinstance(spec, GrandabSpec):
         return HardEngine(code, spec)
+    if isinstance(spec, StepGrandSpec):
+        return StepEngine(code, spec)
     return SoftEngine(code, spec)

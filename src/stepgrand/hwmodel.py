@@ -40,6 +40,23 @@ def combination_rank(values: Sequence[int], n_total: int) -> int:
     return rank
 
 
+def anchor_steps(schedule: StepSchedule) -> tuple[dict[int, int], int]:
+    """Search time steps of a stepped schedule, counted after the hard-word
+    check: step 1 tests every single flip, step 2 every pair, and each flip
+    count w >= 3 then takes one step per anchor, C(gamma - 2, w - 2) in all.
+
+    Returns the step before the first anchor of each such w, and the last
+    step, which abandoned frames run to.
+    """
+    bases = {}
+    step = 2
+    for gamma, hw in schedule.entries:
+        if hw >= 3:
+            bases[hw] = step
+            step += math.comb(gamma - 2, hw - 2)
+    return bases, step
+
+
 @dataclass(frozen=True)
 class LatencyModel:
     """Cycle counts for a schedule on a power-of-two block length."""
@@ -77,37 +94,40 @@ class LatencyModel:
         return math.comb(gamma - 2, weight - 2)
 
     @cached_property
-    def worst_case(self) -> int:
-        total = self.fixed_overhead + self.sorter_cycles
-        for _, hw in self.schedule.entries:
-            if hw >= 3:
-                total += self.composite_steps(hw)
-        return total
+    def _anchor_steps(self) -> tuple[dict[int, int], int]:
+        return anchor_steps(self.schedule)
 
-    def frame_cycles(self, trace: DecodeTrace) -> int:
-        """Latency of one frame, sorter included."""
-        if trace.outcome == CLEAN:
-            return 1
+    @cached_property
+    def worst_case(self) -> int:
+        return self.cycles_from_steps(self._anchor_steps[1])[0]
+
+    def cycles_from_steps(self, step):
+        """frame_cycles and pipeline_cycles of nonclean frames that finish
+        at the given search time step; step may be an int or an array."""
+        return 1 + self.sorter_cycles + step, 1 + step
+
+    def time_step(self, trace: DecodeTrace) -> int:
+        """Search time step at which a nonclean frame finishes."""
+        bases, last = self._anchor_steps
         if trace.outcome == ABANDONED:
-            return self.worst_case
+            return last
         if trace.outcome != HIT:
             raise ValueError(f"unknown trace outcome {trace.outcome!r}")
         if trace.weight is None or trace.ranks is None:
             raise ValueError("hit trace must carry weight and ranks")
         if len(trace.ranks) != trace.weight:
             raise ValueError("trace weight disagrees with its ranks")
-        cycles = 1 + self.sorter_cycles + 1
-        if trace.weight == 1:
-            return cycles
-        cycles += 1
-        if trace.weight == 2:
-            return cycles
-        for _, hw in self.schedule.entries:
-            if 3 <= hw < trace.weight:
-                cycles += self.composite_steps(hw)
+        if trace.weight <= 2:
+            return trace.weight
         gamma = self._subset_size(trace.weight)
         anchor = trace.ranks[: trace.weight - 2]
-        return cycles + combination_rank(anchor, gamma - 2)
+        return bases[trace.weight] + combination_rank(anchor, gamma - 2)
+
+    def frame_cycles(self, trace: DecodeTrace) -> int:
+        """Latency of one frame, sorter included."""
+        if trace.outcome == CLEAN:
+            return 1
+        return self.cycles_from_steps(self.time_step(trace))[0]
 
     def pipeline_cycles(self, trace: DecodeTrace) -> int:
         """Per-frame cost with the sorter stages overlapped away."""

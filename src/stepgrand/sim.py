@@ -31,9 +31,8 @@ import numpy as np
 
 from .channel import SoftVector, noise_sigma, quantize
 from .codes import LinearCode
-from .decoder import HIT, DecodeTrace, DecoderSpec, StepGrandSpec
-from .fastpath import HardEngine, SoftEngine, build_engine, packed_parity_columns
-from .gf2 import BitWord
+from .decoder import ABANDONED, HIT, DecodeTrace, DecoderSpec, StepGrandSpec
+from .fastpath import HardEngine, StepEngine, build_engine, packed_parity_columns
 from .hwmodel import LatencyModel
 
 CHUNK_FRAMES = 1024
@@ -64,6 +63,8 @@ class SweepConfig:
             raise ValueError("max_frames must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -147,6 +148,7 @@ def _init_worker(code: LinearCode, variants: tuple[DecoderSpec, ...],
     n, k = code.n, code.k
     g32 = code.generator.to_array().astype(np.float32)
     h_t32 = code.parity_check.to_array().T.astype(np.float32)
+    g_inv32 = code.generator_right_inverse.to_array().astype(np.float32)
     cols = packed_parity_columns(code)
     engines = [build_engine(code, spec) for spec in variants]
     models = []
@@ -158,27 +160,59 @@ def _init_worker(code: LinearCode, variants: tuple[DecoderSpec, ...],
             models.append(None)
     _STATE.clear()
     _STATE.update(
-        code=code, variants=variants, engines=engines, models=models,
-        g32=g32, h_t32=h_t32, cols=cols, n=n, k=k,
+        engines=engines, models=models, g32=g32, h_t32=h_t32, g_inv32=g_inv32,
+        cols=cols, n=n, k=k,
         bit_place=(1 << np.arange(n - k, dtype=np.int64)),
         quantize=quantize_flag,
     )
 
 
-def _bit_errors(code: LinearCode, hard_row: np.ndarray, guess_positions,
-                msg_row: np.ndarray) -> int:
-    word = BitWord.from_array(hard_row)
-    if guess_positions:
-        word = word.flip(guess_positions)
-    recovered = code.recover_message(word)
-    return (recovered ^ BitWord.from_array(msg_row)).weight()
+def _bit_errors(words: np.ndarray, msgs: np.ndarray) -> int:
+    """Bit errors of the messages recovered from the given hard words."""
+    recovered = (words.astype(np.float32) @ _STATE["g_inv32"]) % 2
+    return int((recovered != msgs).sum())
+
+
+def _model_steps(model: LatencyModel, engine, pos: np.ndarray) -> np.ndarray:
+    """Time steps from the per-frame latency model, for a stepped schedule
+    searched by an engine other than StepEngine (the reference setup)."""
+    steps = []
+    for p in pos.tolist():
+        if p < 0:
+            trace = DecodeTrace(outcome=ABANDONED)
+        else:
+            ranks = engine.hit_ranks(p)
+            trace = DecodeTrace(outcome=HIT, weight=len(ranks), ranks=ranks,
+                                stream_position=p)
+        steps.append(model.time_step(trace))
+    return np.array(steps, dtype=np.int64)
+
+
+def _search(engine, perms, targets: np.ndarray):
+    """Stream position (-1 when abandoned), flip mask and, for StepEngine,
+    hardware time step of each nonclean frame."""
+    if isinstance(engine, StepEngine):
+        pos, step = engine.search(perms, _STATE["cols"], targets)
+        return pos, engine.flip_mask(perms, pos), step
+    if isinstance(engine, HardEngine):
+        reports = engine.decode_frames(targets)
+    else:
+        reports = [engine.decode_frame(perm, _STATE["cols"], int(t))
+                   for perm, t in zip(perms, targets)]
+    pos = np.array([r.stream_position for r in reports], dtype=np.int64)
+    flips = np.zeros((len(reports), _STATE["n"]), dtype=bool)
+    for i, r in enumerate(reports):
+        flips[i, list(r.positions)] = True
+    return pos, flips, None
 
 
 def _run_chunk(point_index: int, chunk_index: int, ebn0_db: float,
                frames_used: int, seed: int):
-    code: LinearCode = _STATE["code"]
     n, k = _STATE["n"], _STATE["k"]
-    key = [seed & _MASK64, ((point_index << 32) | chunk_index) & _MASK64]
+    # uint64 explicitly: a Python list holding a seed of 2**63 or more would
+    # be cast through float64 and lose the seed's low bits
+    key = np.array([seed, ((point_index << 32) | chunk_index) & _MASK64],
+                   dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     msgs = rng.integers(0, 2, size=(CHUNK_FRAMES, k), dtype=np.uint8)
     noise = rng.standard_normal((CHUNK_FRAMES, n))
@@ -192,74 +226,51 @@ def _run_chunk(point_index: int, chunk_index: int, ebn0_db: float,
     if _STATE["quantize"]:
         llr = quantize(SoftVector(llr=llr)).llr
     hard = (llr < 0).astype(np.uint8)
-    cw8 = cw.astype(np.uint8)
-    e_true = hard ^ cw8
+    e_true = (hard ^ cw.astype(np.uint8)).astype(bool)
 
     syn_bits = ((hard.astype(np.float32) @ _STATE["h_t32"]) % 2).astype(np.int64)
     s_int = (syn_bits @ _STATE["bit_place"]).astype(np.int32)
     nonclean = np.flatnonzero(s_int != 0)
-    e_any = e_true.any(axis=1)
+    targets = s_int[nonclean]
+    e_nonclean = e_true[nonclean]
+    # a clean frame with channel errors is a wrong codeword accepted at query 1
+    clean_errors = (s_int == 0) & e_true.any(axis=1)
 
-    soft_needed = any(isinstance(e, SoftEngine) for e in _STATE["engines"])
     perms = None
-    if soft_needed and nonclean.size:
+    if not all(isinstance(e, HardEngine) for e in _STATE["engines"]):
         perms = np.argsort(np.abs(llr[nonclean]), axis=1, kind="stable")
-
-    true_positions = {
-        int(f): tuple(int(p) for p in np.flatnonzero(e_true[f])) for f in nonclean
-    }
 
     out = []
     error_flags = []
     for engine, model in zip(_STATE["engines"], _STATE["models"]):
+        pos, flips, step = _search(engine, perms, targets)
+        hit = pos >= 0
         queries = np.ones(frames_used, dtype=np.int64)
-        errors = np.zeros(frames_used, dtype=bool)
-        errors |= (s_int == 0) & e_any  # wrong codeword accepted at query 1
-        frame_lat = np.ones(frames_used, dtype=np.int64) if model else None
-        pipe = np.ones(frames_used, dtype=np.int64) if model else None
+        queries[nonclean] = np.where(hit, pos + 2, 1 + engine.pattern_count)
+        errors = clean_errors.copy()
+        errors[nonclean] = ~hit | (flips != e_nonclean).any(axis=1)
 
-        if isinstance(engine, HardEngine):
-            reports = engine.decode_frames(s_int[nonclean])
-        else:
-            reports = [
-                engine.decode_frame(perms[i], _STATE["cols"], int(s_int[f]))
-                for i, f in enumerate(nonclean)
-            ]
-        for i, f in enumerate(nonclean):
-            report = reports[i]
-            if report.stream_position < 0:
-                errors[f] = True
-                queries[f] = 1 + engine.pattern_count
-                if model:
-                    frame_lat[f] = model.worst_case
-                    pipe[f] = model.worst_case - model.sorter_cycles
-            else:
-                queries[f] = report.stream_position + 2
-                errors[f] = report.positions != true_positions[int(f)]
-                if model:
-                    ranks = engine.hit_ranks(report.stream_position)
-                    trace = DecodeTrace(
-                        outcome=HIT, weight=len(ranks), ranks=ranks,
-                        stream_position=report.stream_position,
-                    )
-                    frame_lat[f] = model.frame_cycles(trace)
-                    pipe[f] = model.pipeline_cycles(trace)
+        corrected = hard.copy()
+        corrected[nonclean] ^= flips
+        bit_errors = _bit_errors(corrected[errors], msgs[errors])
 
-        bit_errors = 0
-        report_by_frame = dict(zip(nonclean.tolist(), reports))
-        for f in np.flatnonzero(errors):
-            report = report_by_frame.get(int(f))
-            guess = report.positions if report and report.stream_position >= 0 else ()
-            bit_errors += _bit_errors(code, hard[f], guess, msgs[f])
+        cycles = wc_cycles = None
+        if model:
+            if step is None:
+                step = _model_steps(model, engine, pos)
+            frame_lat, pipe = model.cycles_from_steps(step)
+            # clean frames cost one cycle on both counters
+            cycles = frames_used - nonclean.size + int(pipe.sum())
+            wc_cycles = int(frame_lat.max(initial=1))
 
         out.append(
             (
                 int(errors.sum()),
                 bit_errors,
                 int(queries.sum()),
-                int(pipe.sum()) if model else None,
+                cycles,
                 int(queries.max()),
-                int(frame_lat.max()) if model else None,
+                wc_cycles,
             )
         )
         error_flags.append(errors)

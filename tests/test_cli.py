@@ -118,6 +118,13 @@ class TestMainCommand:
         assert err.startswith("error:")
         assert fragment in err
 
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_out_of_range_seed_exits_nonzero(self, seed, capsys):
+        rc = main(["--code", "bch127", "--ebn0", "4", f"--seed={seed}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed must be in [0, 2**64)" in err
+
     def test_unwritable_output_exits_nonzero(self, dense_code_path, capsys):
         rc = main([
             "--code", f"dense:{dense_code_path}", "--ebn0", "8",

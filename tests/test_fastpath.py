@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from stepgrand.channel import SoftVector, harden
-from stepgrand.codes import build_bch, build_ca_polar
+from stepgrand.channel import SoftVector, harden, noise_sigma, quantize
+from stepgrand.codes import build_bch, build_ca_polar, code_from_generator
 from stepgrand.decoder import (
     GrandabSpec,
     OrbgrandSpec,
@@ -13,10 +15,11 @@ from stepgrand.fastpath import (
     HardEngine,
     HitReport,
     SoftEngine,
+    StepEngine,
     build_engine,
     packed_parity_columns,
 )
-from stepgrand.gf2 import BitWord
+from stepgrand.gf2 import BitMatrix, BitWord
 
 
 def literal_outcome(v, code, spec):
@@ -146,7 +149,7 @@ class TestBuildEngine:
     def test_dispatch(self):
         code = build_bch(4, 2)
         assert isinstance(build_engine(code, GrandabSpec(2)), HardEngine)
-        assert isinstance(build_engine(code, StepGrandSpec(1, 6, 2)), SoftEngine)
+        assert isinstance(build_engine(code, StepGrandSpec(1, 6, 2)), StepEngine)
         assert isinstance(
             build_engine(code, OrbgrandSpec(lw_max=10, p_max=2)), SoftEngine
         )
@@ -165,3 +168,155 @@ class TestBuildEngine:
         target = int(cols[0] ^ cols[5] ^ cols[9])
         report = engine.decode_frames(np.array([target], dtype=np.int32))[0]
         assert report == HitReport(-1, ())
+
+
+def random_code(rng, n, k):
+    """Systematic [I | P] generator with a random P: always full rank."""
+    rows = tuple((1 << i) | (int(rng.integers(0, 1 << (n - k))) << k)
+                 for i in range(k))
+    return code_from_generator(f"random({n},{k})", BitMatrix(k, n, rows))
+
+
+def nonclean_frames(code, rng, count, ebn0=None, quantized=False):
+    """count frames of the all-zero codeword with a nonzero syndrome, as
+    (SoftVector, rank-to-position perm, packed target syndrome). Without
+    ebn0 the LLRs are N(1.6, 1)."""
+    frames = []
+    while len(frames) < count:
+        if ebn0 is None:
+            llr = rng.normal(1.6, 1.0, size=code.n)
+        else:
+            sigma = noise_sigma(ebn0, code.rate)
+            llr = 2.0 * (1.0 + sigma * rng.standard_normal(code.n)) / sigma**2
+        v = SoftVector(llr=llr)
+        if quantized:
+            v = quantize(v)
+        s = code.syndrome(BitWord.from_array(harden(v)))
+        if not s.is_zero():
+            perm = np.argsort(np.abs(v.llr), kind="stable")
+            frames.append((v, perm, s.value))
+    return frames
+
+
+def search(engine, frames, cols):
+    """engine.search over the frames as one batch."""
+    perms = np.array([f[1] for f in frames])
+    targets = np.array([f[2] for f in frames], dtype=np.int32)
+    return engine.search(perms, cols, targets)
+
+
+class TestStepEngine:
+    @pytest.mark.parametrize("quantized", [False, True], ids=["float", "quantized"])
+    @pytest.mark.parametrize(
+        "spec", [StepGrandSpec(1, 4, 3), StepGrandSpec(2, 5, 4), StepGrandSpec(1, 6, 3)],
+        ids=lambda s: s.label,
+    )
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_matches_literal_decoder_on_random_codes(self, seed, spec, quantized):
+        rng = np.random.default_rng(seed)
+        code = random_code(rng, 32, 16)
+        engine = StepEngine(code, spec)
+        cols = packed_parity_columns(code)
+        frames = nonclean_frames(code, rng, 60, quantized=quantized)
+        if quantized:
+            llrs = np.array([f[0].llr for f in frames])
+            assert (llrs == 0).any()
+            assert any(len(set(row)) < code.n for row in np.abs(llrs))
+        pos, _ = search(engine, frames, cols)
+        outcomes = [literal_outcome(v, code, spec) for v, _, _ in frames]
+        assert pos.tolist() == [o[0] for o in outcomes]
+        for (v, perm, target), want in zip(frames, outcomes):
+            got = engine.decode_frame(perm, cols, target)
+            assert (got.stream_position, got.positions) == want
+
+    @pytest.mark.parametrize("ebn0", [3.0, 5.0])
+    @pytest.mark.parametrize(
+        "code_name, spec",
+        [("capolar128", StepGrandSpec(2, 6, 6)), ("bch127", StepGrandSpec(2, 7, 6))],
+    )
+    def test_matches_soft_engine_on_benchmark_codes(self, code_name, spec, ebn0):
+        code = build_ca_polar(128, 105) if code_name == "capolar128" else build_bch(7, 3)
+        engine, oracle = StepEngine(code, spec), SoftEngine(code, spec)
+        assert engine.pattern_count == oracle.pattern_count == spec.pattern_count(code.n)
+        assert (engine.rank_index == oracle.rank_index).all()
+        assert (engine.weights == oracle.weights).all()
+        cols = packed_parity_columns(code)
+        rng = np.random.default_rng([int(ebn0), code.n])
+        frames = nonclean_frames(code, rng, 200, ebn0=ebn0)
+        pos, _ = search(engine, frames, cols)
+        flips = engine.flip_mask(np.array([f[1] for f in frames]), pos)
+        want = [oracle.decode_frame(p, cols, t) for _, p, t in frames]
+        assert pos.tolist() == [r.stream_position for r in want]
+        for row, r in zip(flips, want):
+            assert tuple(np.flatnonzero(row)) == r.positions
+        # the literal decoder on a few of them
+        for v, perm, target in frames[:6]:
+            got = engine.decode_frame(perm, cols, target)
+            assert (got.stream_position, got.positions) == literal_outcome(v, code, spec)
+
+    @pytest.mark.parametrize("m", [1, StepEngine.slice_frames, StepEngine.slice_frames + 1])
+    def test_batch_size_does_not_change_results(self, m):
+        code = build_ca_polar(128, 105)
+        spec = StepGrandSpec(2, 6, 6)
+        engine, oracle = StepEngine(code, spec), SoftEngine(code, spec)
+        cols = packed_parity_columns(code)
+        frames = nonclean_frames(code, np.random.default_rng(m), m, ebn0=3.0)
+        pos, step = search(engine, frames, cols)
+        assert pos.shape == step.shape == (m,)
+        assert pos.tolist() == [oracle.decode_frame(p, cols, t).stream_position
+                                for _, p, t in frames]
+
+    @pytest.mark.parametrize("spec", [StepGrandSpec(1, 6, 1), StepGrandSpec(1, 6, 2),
+                                      StepGrandSpec(2, 6, 2)], ids=lambda s: s.label)
+    def test_schedules_without_composite_entries(self, spec):
+        code = build_ca_polar(128, 105)
+        engine, oracle = StepEngine(code, spec), SoftEngine(code, spec)
+        assert engine.pair_bits == 0
+        assert engine.last_step == 2
+        cols = packed_parity_columns(code)
+        frames = nonclean_frames(code, np.random.default_rng(17), 80, ebn0=5.0)
+        pos, step = search(engine, frames, cols)
+        want = [oracle.decode_frame(p, cols, t).stream_position for _, p, t in frames]
+        assert pos.tolist() == want
+        weights = np.where(pos >= 0, engine.weights[pos], 2)
+        assert step.tolist() == weights.tolist()
+        assert (pos >= 0).any() and (pos < 0).any()
+
+    @pytest.mark.parametrize("largest", [False, True], ids=["inner", "last-key"])
+    def test_anchor_skips_pairs_at_or_below_its_last_rank(self, largest):
+        # The target is the syndrome of rank 5 alone and of the weight-3
+        # pattern (1, 2, 3). For anchor (0,) the bank pair (0, 5) completes
+        # the target but reuses the anchor's rank: an invalid completion, and
+        # the lexicographically first match. In a full search the weight-1
+        # entry resolves such a frame first, so only the weight-3 entry is
+        # kept here. With largest, (0, 5) also has the largest pair syndrome,
+        # so the anchor's query sorts past the last key.
+        code = build_ca_polar(32, 20, crc=None)
+        engine = StepEngine(code, StepGrandSpec(1, 6, 3))
+        entry = next(e for e in engine.entries if e.weight == 3)
+        engine.entries = [entry]
+        cols = np.random.default_rng(5).integers(1, 1 << 11, code.n, dtype=np.int32)
+        cols[5] = cols[1] ^ cols[2] ^ cols[3]
+        if largest:
+            cols[0] = cols[5] ^ ((1 << 12) - 1)
+        target = int(cols[5])
+        pairs = list(itertools.combinations(range(entry.gamma), 2))
+        pair_syn = [int(cols[i] ^ cols[j]) for i, j in pairs]
+        first = next(p for p, s in zip(pairs, pair_syn) if s == target ^ int(cols[0]))
+        assert first == (0, 5)
+        assert (max(pair_syn) == pair_syn[pairs.index(first)]) == largest
+        perm = np.arange(code.n)
+        pos, step = engine.search(perm[None, :], cols, np.array([target], dtype=np.int32))
+        patterns = list(itertools.combinations(range(entry.gamma), 3))
+        want = next(i for i, p in enumerate(patterns)
+                    if int(np.bitwise_xor.reduce(cols[list(p)])) == target)
+        assert patterns[want] == (1, 2, 3)
+        assert pos[0] == entry.offset + want
+        assert step[0] == entry.base_step + 2  # anchor (1,) is the second
+
+    def test_rejects_keys_wider_than_63_bits(self):
+        class Wide(StepEngine):
+            slice_frames = 1 << 40
+
+        with pytest.raises(ValueError, match="63"):
+            Wide(build_ca_polar(128, 105), StepGrandSpec(2, 6, 6))

@@ -6,6 +6,7 @@ import pytest
 from stepgrand.decoder import ABANDONED, CLEAN, HIT, DecodeTrace
 from stepgrand.hwmodel import (
     LatencyModel,
+    anchor_steps,
     average_cycles,
     combination_rank,
     frame_cycles,
@@ -47,6 +48,15 @@ class TestWorstCase:
         # then C(28,1) + C(16,2) + C(10,3) + C(4,4) composite steps
         assert model.fixed_overhead + model.sorter_cycles == 10
         assert [model.composite_steps(hw) for hw in (3, 4, 5, 6)] == [28, 120, 120, 1]
+
+    def test_anchor_steps_of_reference_schedule(self):
+        # after the single- and two-flip steps, each weight's anchor sweep
+        # follows the previous one; abandonment runs to the last step
+        bases, last = anchor_steps(build_step_schedule(2, 6, 6, n=128))
+        assert bases == {3: 2, 4: 30, 5: 150, 6: 270}
+        assert last == 271
+        model = reference_model()
+        assert model.cycles_from_steps(last) == (279, 272)
 
     def test_worst_case_latency_nanoseconds(self):
         ns = latency_seconds(279, CLOCK_HZ) * 1e9

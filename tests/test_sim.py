@@ -1,12 +1,24 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from stepgrand import sim
 from stepgrand.channel import SoftVector, noise_sigma
 from stepgrand.codes import LinearCode, build_bch, build_ca_polar
-from stepgrand.decoder import GrandabSpec, OrbgrandSpec, StepGrandSpec, decode
+from stepgrand.decoder import (
+    ABANDONED,
+    HIT,
+    DecodeTrace,
+    GrandabSpec,
+    OrbgrandSpec,
+    StepGrandSpec,
+    decode,
+)
+from stepgrand.fastpath import SoftEngine, StepEngine, packed_parity_columns
 from stepgrand.gf2 import BitMatrix, BitWord, identity
+from stepgrand.hwmodel import LatencyModel
 from stepgrand.sim import (
     CHUNK_FRAMES,
     SweepConfig,
@@ -265,3 +277,78 @@ class TestStatisticsHelpers:
         assert sign_test_pvalue(8, 10) == pytest.approx(56 / 1024)
         with pytest.raises(ValueError):
             sign_test_pvalue(4, 3)
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 5])
+    def test_rejects_seeds_outside_64_bits(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            SweepConfig(code=identity_code(8), variants=(GrandabSpec(1),),
+                        ebn0_db=(1.0,), seed=seed)
+
+    def test_top_seeds_draw_their_own_frames(self):
+        def errors(seed):
+            cfg = SweepConfig(code=identity_code(8), variants=(GrandabSpec(1),),
+                              ebn0_db=(1.0,), max_frames=512, seed=seed)
+            return run_point(cfg, 1.0).bit_errors
+
+        counts = [errors(s) for s in (0, (1 << 64) - 1, (1 << 64) - 2, 1 << 63)]
+        assert len(set(counts)) == len(counts)
+
+
+class TestStepCycles:
+    def test_cycle_arrays_match_latency_model(self):
+        # random reliability orders; each target is the syndrome of w random
+        # ranks inside the weight-w subset of the schedule (a hit of weight
+        # at most w), or of nine arbitrary ranks (nearly always abandoned)
+        code = build_ca_polar(128, 105)
+        spec = StepGrandSpec(2, 6, 6)
+        engine = StepEngine(code, spec)
+        schedule = spec.schedule(code.n)
+        model = LatencyModel(code.n, schedule)
+        rng = np.random.default_rng(23)
+        m = 400
+        perms = np.argsort(rng.normal(0.0, 1.0, (m, code.n)), axis=1, kind="stable")
+        cols = packed_parity_columns(code)
+        targets = np.empty(m, dtype=np.int32)
+        for i in range(m):
+            gamma, w = schedule.entries[i % 7] if i % 7 < 6 else (code.n, 9)
+            ranks = rng.choice(gamma, size=w, replace=False)
+            targets[i] = np.bitwise_xor.reduce(cols[perms[i, ranks]])
+        pos, step = engine.search(perms, cols, targets)
+        frame_lat, pipe = model.cycles_from_steps(step)
+        weights = engine.weights[pos[pos >= 0]]
+        assert (pos < 0).sum() > 40
+        assert {1, 2, 3, 4, 5, 6} <= set(weights.tolist())
+        for p, f, c in zip(pos.tolist(), frame_lat.tolist(), pipe.tolist()):
+            if p < 0:
+                trace = DecodeTrace(outcome=ABANDONED)
+            else:
+                ranks = engine.hit_ranks(p)
+                trace = DecodeTrace(outcome=HIT, weight=len(ranks), ranks=ranks,
+                                    stream_position=p)
+            assert f == model.frame_cycles(trace)
+            assert c == model.pipeline_cycles(trace)
+
+
+class TestSoftEngineOracle:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_csv_unchanged_with_soft_engine_search(self, tmp_path, monkeypatch, workers):
+        if workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers see the patched build_engine only when forked")
+        cfg = SweepConfig(
+            code=build_ca_polar(128, 105), variants=(StepGrandSpec(2, 6, 6),),
+            ebn0_db=(3.0,), min_frame_errors=10**9,
+            max_frames=2 * CHUNK_FRAMES, seed=41, workers=workers,
+        )
+        run_sweep(cfg, out=tmp_path / "step.csv")
+        built = []
+
+        def soft_engine(code, spec):
+            built.append(spec)
+            return SoftEngine(code, spec)
+
+        monkeypatch.setattr(sim, "build_engine", soft_engine)
+        run_sweep(cfg, out=tmp_path / "soft.csv")
+        assert workers > 1 or built == [cfg.variants[0]]
+        assert (tmp_path / "soft.csv").read_bytes() == (tmp_path / "step.csv").read_bytes()
