@@ -37,14 +37,7 @@ from .decoder import (
     syndrome_precompute,
     worst_case_queries,
 )
-from .hwmodel import (
-    LatencyModel,
-    average_cycles,
-    frame_cycles,
-    info_throughput_bps,
-    latency_seconds,
-    worst_case_cycles,
-)
+from .hwmodel import LatencyModel, info_throughput_bps, latency_seconds
 from .patterns import build_step_schedule, max_logistic_weight, sort_reliability
 from .sim import (
     PointStats,
@@ -71,7 +64,6 @@ __all__ = [
     "SoftVector",
     "StepGrandSpec",
     "SweepConfig",
-    "average_cycles",
     "build_bch",
     "build_ca_polar",
     "build_step_schedule",
@@ -79,7 +71,6 @@ __all__ = [
     "code_from_parity_check",
     "compare_decoders",
     "decode",
-    "frame_cycles",
     "harden",
     "info_throughput_bps",
     "latency_seconds",
@@ -97,6 +88,5 @@ __all__ = [
     "syndrome_precompute",
     "transmit",
     "wilson_interval",
-    "worst_case_cycles",
     "worst_case_queries",
 ]

@@ -31,7 +31,6 @@ class ChannelConfig:
 
     ebn0_db: float
     rate: float
-    seed: int | None = None
 
     @property
     def sigma(self) -> float:
@@ -40,7 +39,7 @@ class ChannelConfig:
 
 @dataclass
 class SoftVector:
-    """Received LLRs for one frame."""
+    """Received LLRs for one frame, or an (m, n) batch of frames."""
 
     llr: np.ndarray
     quantized: bool = False
@@ -61,12 +60,16 @@ class SoftVector:
 
 
 def transmit(codeword, cfg: ChannelConfig, rng: np.random.Generator) -> SoftVector:
-    """Modulate a codeword, add white Gaussian noise, return channel LLRs."""
+    """Modulate a codeword, add white Gaussian noise, return channel LLRs.
+
+    codeword is one word (a BitWord or an (n,) array) or an (m, n) array of
+    words, one per row; the noise is drawn in row order.
+    """
     if isinstance(codeword, BitWord):
         codeword = codeword.to_array()
     bits = np.asarray(codeword, dtype=np.float64)
     sigma = cfg.sigma
-    y = (1.0 - 2.0 * bits) + sigma * rng.standard_normal(bits.size)
+    y = (1.0 - 2.0 * bits) + sigma * rng.standard_normal(bits.shape)
     return SoftVector(2.0 * y / (sigma * sigma))
 
 

@@ -9,6 +9,7 @@ comparison CSV instead.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import re
 import sys
 
@@ -94,19 +95,28 @@ def _none(leftover: dict, text: str) -> dict:
     return {}
 
 
+# the spec field each per-decoder flag sets; a decoder reads the flags
+# whose field its spec has
+_FLAG_FIELDS = {"ab": "max_weight", "lwmax": "lw_max", "alpha": "alpha",
+                "beta": "beta", "pmax": "p_max"}
+
+
+def _given_flags(args: argparse.Namespace) -> dict[str, int]:
+    return {flag: getattr(args, flag) for flag in _FLAG_FIELDS
+            if getattr(args, flag) is not None}
+
+
 def _variant_from_flags(args: argparse.Namespace) -> DecoderSpec:
-    if args.decoder == "grandab":
-        return GrandabSpec(max_weight=args.ab if args.ab is not None else 3)
-    if args.decoder == "orbgrand":
-        return OrbgrandSpec(
-            lw_max=args.lwmax if args.lwmax is not None else 64,
-            p_max=args.pmax if args.pmax is not None else 6,
-        )
-    return StepGrandSpec(
-        alpha=args.alpha if args.alpha is not None else 2,
-        beta=args.beta if args.beta is not None else 6,
-        p_max=args.pmax if args.pmax is not None else 6,
-    )
+    """The --decoder spec at its default parameters with the given flags
+    applied; a flag the decoder does not read is an error."""
+    spec = parse_variant(args.decoder)
+    fields = {f.name for f in dataclasses.fields(spec)}
+    changes = {}
+    for flag, value in _given_flags(args).items():
+        if _FLAG_FIELDS[flag] not in fields:
+            raise ValueError(f"--{flag} does not apply to --decoder {args.decoder}")
+        changes[_FLAG_FIELDS[flag]] = value
+    return dataclasses.replace(spec, **changes)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,6 +154,10 @@ def main(argv: list[str] | None = None) -> int:
         code = resolve_code(args.code)
         ebn0 = parse_ebn0(args.ebn0)
         if args.compare is not None:
+            flags = " ".join(f"--{flag}" for flag in _given_flags(args))
+            if flags:
+                raise ValueError(f"{flags}: not read with --compare; set decoder"
+                                 " parameters in the variant list, e.g. grandab(ab=2)")
             variants = tuple(
                 parse_variant(t) for t in args.compare.split(";") if t.strip()
             )

@@ -8,8 +8,16 @@ million-frame sweeps practical. Differential tests pin the equivalence.
 Syndromes are packed into int32 scalars (block lengths here leave n - k well
 under 31 bits), so a membership test is an integer compare.
 
+Every engine has one batched contract over the nonclean frames of a chunk:
+`search(perms, columns, targets)` returns each frame's stream position as
+int64 (-1 when abandoned), and `flip_mask(perms, pos)` the flipped bits as an
+(m, n) bool mask. perms is (m, n), row i mapping rank-1 (index 0) to the bit
+position holding that rank in frame i; engines that do not sort ignore it.
+Hardware time steps are not the engines' business: `hwmodel` maps stream
+positions to steps.
+
 Hard-input engine: pattern syndromes are frame-independent, so each weight
-class is precomputed and sorted once; a decode is one binary search per
+class is precomputed and sorted once; a search is one binary search per
 weight class.
 
 Soft-input engines depend on the per-frame reliability permutation.
@@ -20,9 +28,7 @@ match. StepEngine searches the stepped schedule the way the composite-
 syndrome hardware of `hwmodel` does, batched over all frames of a chunk:
 weights 1 and 2 are direct compares, and each higher weight is a sweep of
 anchors (the pattern's lowest ranks, all but two) completed by one lookup
-in a sorted bank of two-flip syndromes. It reports the hardware time step
-of each hit beside its stream position, so cycle counts need no per-frame
-latency model.
+in a sorted bank of two-flip syndromes.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ import numpy as np
 
 from .codes import LinearCode
 from .decoder import DecoderSpec, GrandabSpec, StepGrandSpec
-from .hwmodel import anchor_steps
 
 
 def packed_parity_columns(code: LinearCode) -> np.ndarray:
@@ -85,36 +90,39 @@ class HardEngine:
             offset += len(idx)
         self.pattern_count = offset
 
-    def decode_frames(self, syndromes: np.ndarray) -> list[HitReport]:
-        """Resolve a batch of nonzero frame syndromes in stream order."""
-        m = len(syndromes)
-        best_pos = np.full(m, -1, dtype=np.int64)
-        best_row = np.zeros(m, dtype=np.int64)
-        best_weight = np.zeros(m, dtype=np.int64)
-        unresolved = np.arange(m)
-        for w, table in enumerate(self.weight_tables, start=1):
+    def search(self, perms, columns, targets: np.ndarray) -> np.ndarray:
+        """Stream position of the first match per nonzero frame syndrome,
+        -1 when abandoned; perms and columns are not needed."""
+        pos = np.full(len(targets), -1, dtype=np.int64)
+        unresolved = np.arange(len(targets))
+        for table in self.weight_tables:
             if unresolved.size == 0:
                 break
-            s = syndromes[unresolved]
+            s = targets[unresolved]
             at = np.searchsorted(table["sorted_syn"], s, side="left")
             at_clipped = np.minimum(at, len(table["sorted_syn"]) - 1)
             hit = table["sorted_syn"][at_clipped] == s
             hit &= at < len(table["sorted_syn"])
-            frames = unresolved[hit]
-            rows = table["order"][at_clipped[hit]]
-            best_row[frames] = rows
-            best_weight[frames] = w
-            best_pos[frames] = table["offset"] + rows
+            pos[unresolved[hit]] = table["offset"] + table["order"][at_clipped[hit]]
             unresolved = unresolved[~hit]
-        reports = []
-        for f in range(m):
-            if best_pos[f] < 0:
-                reports.append(HitReport(-1, ()))
-            else:
-                table = self.weight_tables[best_weight[f] - 1]
-                positions = tuple(int(p) for p in table["positions"][best_row[f]])
-                reports.append(HitReport(int(best_pos[f]), positions))
-        return reports
+        return pos
+
+    def flip_mask(self, perms, stream_position: np.ndarray) -> np.ndarray:
+        """Flipped bit positions per frame as an (m, n) bool mask; frames
+        with stream_position -1 flip nothing."""
+        mask = np.zeros((len(stream_position), self.code.n), dtype=bool)
+        for table in self.weight_tables:
+            row = stream_position - table["offset"]
+            frames = np.flatnonzero((row >= 0) & (row < len(table["positions"])))
+            mask[frames[:, None], table["positions"][row[frames]]] = True
+        return mask
+
+    def decode_frames(self, syndromes: np.ndarray) -> list[HitReport]:
+        """Resolve a batch of nonzero frame syndromes in stream order."""
+        pos = self.search(None, None, syndromes)
+        flips = self.flip_mask(None, pos)
+        return [HitReport(int(p), tuple(np.flatnonzero(f).tolist()))
+                for p, f in zip(pos, flips)]
 
 
 class _RankPatterns:
@@ -203,6 +211,14 @@ class SoftEngine(_RankPatterns):
         sigma = np.append(columns[perm], np.int32(0))
         return self._report(perm, self.scan(sigma, target))
 
+    def search(self, perms: np.ndarray, columns: np.ndarray, targets: np.ndarray
+               ) -> np.ndarray:
+        """Stream position of the first match per frame (-1 when abandoned),
+        one decode_frame call per frame: bench/layers.py times those calls
+        as the search layer."""
+        return np.array([self.decode_frame(perm, columns, int(t)).stream_position
+                         for perm, t in zip(perms, targets)], dtype=np.int64)
+
     # bound in SoftEngine's own namespace: bench/layers.py patches the
     # engine's methods by class attribute
     hit_ranks = _RankPatterns.hit_ranks
@@ -218,8 +234,7 @@ class _Entry:
     ranks of a pattern, in lexicographic order; first_pair is the bank index
     of the anchor's first completion (the pairs with i above its last rank
     form a suffix of the bank), and before counts the entry's patterns that
-    precede the anchor. base_step is the hardware time step before the
-    entry's first anchor.
+    precede the anchor.
     """
 
     gamma: int
@@ -230,7 +245,6 @@ class _Entry:
     anchors: np.ndarray | None = None
     first_pair: np.ndarray | None = None
     before: np.ndarray | None = None
-    base_step: int = 0
 
 
 def _combinations(size: int, k: int) -> np.ndarray:
@@ -249,8 +263,7 @@ class StepEngine(_RankPatterns):
     (frame, pair syndrome, pair index) are sorted once per entry, and a
     binary search per anchor for (frame, target ^ anchor syndrome, first
     valid pair index) finds the lexicographically first completion. The frame's
-    first anchor with a hit gives the first match of the stream, and the
-    anchor index is the hardware time step.
+    first anchor with a hit gives the first match of the stream.
 
     Frames go through in slices of slice_frames to keep the working set
     small; the frame index within a slice is the key's top field.
@@ -263,13 +276,10 @@ class StepEngine(_RankPatterns):
         self.spec = spec
         n = code.n
         parity_bits = code.n - code.k
-        schedule = spec.schedule(n)
-        # abandoned frames run through every time step
-        base_steps, self.last_step = anchor_steps(schedule)
         entries = []
         blocks = []
         offset = 0
-        for gamma, w in schedule.entries:
+        for gamma, w in spec.schedule(n).entries:
             combos = _combinations(gamma, w)
             entry = dict(gamma=gamma, weight=w, offset=offset)
             if w >= 2:
@@ -283,8 +293,7 @@ class StepEngine(_RankPatterns):
                 first = (last + 1) * (gamma - 1) - (last + 1) * last // 2
                 per_anchor = (gamma - 1 - last) * (gamma - 2 - last) // 2
                 entry.update(anchors=anchors, first_pair=first,
-                             before=np.cumsum(per_anchor) - per_anchor,
-                             base_step=base_steps[w])
+                             before=np.cumsum(per_anchor) - per_anchor)
             entries.append(_Entry(**entry))
             blocks.append(combos)
             offset += len(combos)
@@ -309,28 +318,22 @@ class StepEngine(_RankPatterns):
             )
 
     def search(self, perms: np.ndarray, columns: np.ndarray, targets: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-        """Stream position (-1 when abandoned) and hardware time step of the
-        first match, per frame.
+               ) -> np.ndarray:
+        """Stream position of the first match per frame, -1 when abandoned.
 
         perms is (m, n): row i maps rank-1 (index 0) to the bit position
         holding that rank in frame i; targets are the m nonzero syndromes.
-        The time step is 1 for one flip, 2 for two, and for more the
-        composite steps of earlier entries plus the 1-based anchor index
-        after those two; abandoned frames take the last step.
         """
         m = len(targets)
         pos = np.full(m, -1, dtype=np.int64)
-        step = np.full(m, self.last_step, dtype=np.int64)
         for lo in range(0, m, self.slice_frames):
             hi = min(lo + self.slice_frames, m)
-            self._search_slice(columns[perms[lo:hi]], targets[lo:hi],
-                               pos[lo:hi], step[lo:hi])
-        return pos, step
+            self._search_slice(columns[perms[lo:hi]], targets[lo:hi], pos[lo:hi])
+        return pos
 
-    def _search_slice(self, sigma, targets, pos, step) -> None:
-        """Fill pos/step (views) for one slice; sigma[f, r] is the syndrome
-        of a lone flip at frame f's rank r."""
+    def _search_slice(self, sigma, targets, pos) -> None:
+        """Fill pos (a view) for one slice; sigma[f, r] is the syndrome of a
+        lone flip at frame f's rank r."""
         frames = np.arange(len(sigma))
         for e in self.entries:
             if frames.size == 0:
@@ -344,17 +347,14 @@ class StepEngine(_RankPatterns):
                 eq = syn == t[:, None]
                 found = eq.any(axis=1)
                 row = eq.argmax(axis=1)
-                at_step = np.full(len(frames), e.weight)
             else:
-                found, row, at_step = self._composite(e, sig, t)
-            hit = frames[found]
-            pos[hit] = e.offset + row[found]
-            step[hit] = at_step[found]
+                found, row = self._composite(e, sig, t)
+            pos[frames[found]] = e.offset + row[found]
             frames = frames[~found]
 
     def _composite(self, e: _Entry, sig, t):
-        """Per frame: whether the entry has a match, its index within the
-        entry, and its time step."""
+        """Per frame: whether the entry has a match, and its index within
+        the entry."""
         pb, sb = self.pair_bits, self.frame_shift
         f = np.arange(len(sig), dtype=np.int64)[:, None] << sb
         pair_syn = (sig[:, e.pair_i] ^ sig[:, e.pair_j]).astype(np.int64)
@@ -367,13 +367,12 @@ class StepEngine(_RankPatterns):
         found = hits.any(axis=1)
         a = hits.argmax(axis=1)
         pair = got[np.arange(len(sig)), a] & ((1 << pb) - 1)
-        return found, e.before[a] + pair - e.first_pair[a], e.base_step + a + 1
+        return found, e.before[a] + pair - e.first_pair[a]
 
     def decode_frame(self, perm: np.ndarray, columns: np.ndarray, target: int
                      ) -> HitReport:
         """One frame through the batched search; perm as in SoftEngine."""
-        pos, _ = self.search(perm[None, :], columns,
-                             np.array([target], dtype=np.int32))
+        pos = self.search(perm[None, :], columns, np.array([target], dtype=np.int32))
         return self._report(perm, int(pos[0]))
 
 

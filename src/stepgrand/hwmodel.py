@@ -12,14 +12,24 @@ including the sorter. pipeline_cycles drops the sorter stages for frames
 that need pattern tests: back-to-back frames overlap those stages, so the
 sustained-throughput cost of a frame excludes them. Averages quoted per
 frame use pipeline_cycles; worst-case figures use frame_cycles.
+
+This module owns the time-step numbering. `anchor_steps` counts the steps,
+and `LatencyModel.stream_steps` lays them out as one table over the stream
+positions, so a batch of search results becomes cycle counts by one lookup
+(`cycles_from_steps(stream_steps[pos])`). The per-trace methods
+`time_step`, `frame_cycles` and `pipeline_cycles` are the readable
+specification that table is tested against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from .decoder import ABANDONED, CLEAN, HIT, DecodeTrace
 from .patterns import StepSchedule
@@ -101,6 +111,27 @@ class LatencyModel:
     def worst_case(self) -> int:
         return self.cycles_from_steps(self._anchor_steps[1])[0]
 
+    @cached_property
+    def stream_steps(self) -> np.ndarray:
+        """Search time step of every stream position, int64, with the
+        abandonment step appended, so index -1 serves abandoned frames.
+
+        A weight-w >= 3 entry repeats each anchor's step once per completion:
+        C(gamma - 1 - last, 2) pairs above the anchor's last 0-based rank.
+        """
+        bases, last = self._anchor_steps
+        parts = []
+        for gamma, hw in self.schedule.entries:
+            if hw <= 2:
+                parts.append(np.full(math.comb(gamma, hw), hw, dtype=np.int64))
+                continue
+            anchors = itertools.combinations(range(gamma - 2), hw - 2)
+            tops = np.array([a[-1] for a in anchors], dtype=np.int64)
+            completions = (gamma - 1 - tops) * (gamma - 2 - tops) // 2
+            parts.append(np.repeat(bases[hw] + 1 + np.arange(tops.size), completions))
+        parts.append(np.array([last], dtype=np.int64))
+        return np.concatenate(parts)
+
     def cycles_from_steps(self, step):
         """frame_cycles and pipeline_cycles of nonclean frames that finish
         at the given search time step; step may be an int or an array."""
@@ -134,20 +165,6 @@ class LatencyModel:
         if trace.outcome == CLEAN:
             return 1
         return self.frame_cycles(trace) - self.sorter_cycles
-
-
-def worst_case_cycles(model: LatencyModel) -> int:
-    return model.worst_case
-
-
-def frame_cycles(trace: DecodeTrace, model: LatencyModel) -> int:
-    return model.frame_cycles(trace)
-
-
-def average_cycles(counts: Sequence[float]) -> float:
-    if not counts:
-        raise ValueError("need at least one frame")
-    return sum(counts) / len(counts)
 
 
 def latency_seconds(cycles: float, clock_hz: float) -> float:

@@ -15,6 +15,10 @@ an abandonment; bit errors on failed frames come from the recovered message
 statistics exist only for the stepped-schedule variant on power-of-two block
 lengths: the average uses the pipelined per-frame counter, worst-case
 figures use full frame latency.
+
+Each chunk runs every variant through the same engine contract of
+`fastpath` (stream positions, then flip masks) and takes its cycle counts
+from `hwmodel`'s step table, indexed by those stream positions.
 """
 
 from __future__ import annotations
@@ -22,17 +26,17 @@ from __future__ import annotations
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .channel import SoftVector, noise_sigma, quantize
+from .channel import ChannelConfig, quantize, transmit
 from .codes import LinearCode
-from .decoder import ABANDONED, HIT, DecodeTrace, DecoderSpec, StepGrandSpec
-from .fastpath import HardEngine, StepEngine, build_engine, packed_parity_columns
+from .decoder import DecoderSpec, StepGrandSpec
+from .fastpath import build_engine, packed_parity_columns
 from .hwmodel import LatencyModel
 
 CHUNK_FRAMES = 1024
@@ -80,6 +84,7 @@ class PointStats:
     wc_queries_obs: int
     wc_cycles_obs: int | None
     capped: bool
+    k: int  # message length, so ber needs no code handle
 
     @property
     def fer(self) -> float:
@@ -87,10 +92,7 @@ class PointStats:
 
     @property
     def ber(self) -> float:
-        return self.bit_errors / (self.frames * self._k) if self._k else 0.0
-
-    # message length is stashed by the harness so ber needs no code handle
-    _k: int = 0
+        return self.bit_errors / (self.frames * self.k)
 
 
 @dataclass(frozen=True)
@@ -161,7 +163,7 @@ def _init_worker(code: LinearCode, variants: tuple[DecoderSpec, ...],
     _STATE.clear()
     _STATE.update(
         engines=engines, models=models, g32=g32, h_t32=h_t32, g_inv32=g_inv32,
-        cols=cols, n=n, k=k,
+        cols=cols, n=n, k=k, sorting=any(spec.uses_sorting for spec in variants),
         bit_place=(1 << np.arange(n - k, dtype=np.int64)),
         quantize=quantize_flag,
     )
@@ -173,39 +175,6 @@ def _bit_errors(words: np.ndarray, msgs: np.ndarray) -> int:
     return int((recovered != msgs).sum())
 
 
-def _model_steps(model: LatencyModel, engine, pos: np.ndarray) -> np.ndarray:
-    """Time steps from the per-frame latency model, for a stepped schedule
-    searched by an engine other than StepEngine (the reference setup)."""
-    steps = []
-    for p in pos.tolist():
-        if p < 0:
-            trace = DecodeTrace(outcome=ABANDONED)
-        else:
-            ranks = engine.hit_ranks(p)
-            trace = DecodeTrace(outcome=HIT, weight=len(ranks), ranks=ranks,
-                                stream_position=p)
-        steps.append(model.time_step(trace))
-    return np.array(steps, dtype=np.int64)
-
-
-def _search(engine, perms, targets: np.ndarray):
-    """Stream position (-1 when abandoned), flip mask and, for StepEngine,
-    hardware time step of each nonclean frame."""
-    if isinstance(engine, StepEngine):
-        pos, step = engine.search(perms, _STATE["cols"], targets)
-        return pos, engine.flip_mask(perms, pos), step
-    if isinstance(engine, HardEngine):
-        reports = engine.decode_frames(targets)
-    else:
-        reports = [engine.decode_frame(perm, _STATE["cols"], int(t))
-                   for perm, t in zip(perms, targets)]
-    pos = np.array([r.stream_position for r in reports], dtype=np.int64)
-    flips = np.zeros((len(reports), _STATE["n"]), dtype=bool)
-    for i, r in enumerate(reports):
-        flips[i, list(r.positions)] = True
-    return pos, flips, None
-
-
 def _run_chunk(point_index: int, chunk_index: int, ebn0_db: float,
                frames_used: int, seed: int):
     n, k = _STATE["n"], _STATE["k"]
@@ -214,17 +183,14 @@ def _run_chunk(point_index: int, chunk_index: int, ebn0_db: float,
     key = np.array([seed, ((point_index << 32) | chunk_index) & _MASK64],
                    dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    msgs = rng.integers(0, 2, size=(CHUNK_FRAMES, k), dtype=np.uint8)
-    noise = rng.standard_normal((CHUNK_FRAMES, n))
-    msgs = msgs[:frames_used]
-    noise = noise[:frames_used]
-
-    sigma = noise_sigma(ebn0_db, k / n)
+    # messages are drawn for the full chunk whatever frames_used is, so a
+    # partial chunk's noise starts where a full chunk's does in the stream
+    msgs = rng.integers(0, 2, size=(CHUNK_FRAMES, k), dtype=np.uint8)[:frames_used]
     cw = (msgs.astype(np.float32) @ _STATE["g32"]) % 2
-    y = (1.0 - 2.0 * cw) + sigma * noise
-    llr = 2.0 * y / (sigma * sigma)
+    received = transmit(cw, ChannelConfig(ebn0_db, k / n), rng)
     if _STATE["quantize"]:
-        llr = quantize(SoftVector(llr=llr)).llr
+        received = quantize(received)
+    llr = received.llr
     hard = (llr < 0).astype(np.uint8)
     e_true = (hard ^ cw.astype(np.uint8)).astype(bool)
 
@@ -237,13 +203,14 @@ def _run_chunk(point_index: int, chunk_index: int, ebn0_db: float,
     clean_errors = (s_int == 0) & e_true.any(axis=1)
 
     perms = None
-    if not all(isinstance(e, HardEngine) for e in _STATE["engines"]):
+    if _STATE["sorting"]:
         perms = np.argsort(np.abs(llr[nonclean]), axis=1, kind="stable")
 
     out = []
     error_flags = []
     for engine, model in zip(_STATE["engines"], _STATE["models"]):
-        pos, flips, step = _search(engine, perms, targets)
+        pos = engine.search(perms, _STATE["cols"], targets)
+        flips = engine.flip_mask(perms, pos)
         hit = pos >= 0
         queries = np.ones(frames_used, dtype=np.int64)
         queries[nonclean] = np.where(hit, pos + 2, 1 + engine.pattern_count)
@@ -256,9 +223,7 @@ def _run_chunk(point_index: int, chunk_index: int, ebn0_db: float,
 
         cycles = wc_cycles = None
         if model:
-            if step is None:
-                step = _model_steps(model, engine, pos)
-            frame_lat, pipe = model.cycles_from_steps(step)
+            frame_lat, pipe = model.cycles_from_steps(model.stream_steps[pos])
             # clean frames cost one cycle on both counters
             cycles = frames_used - nonclean.size + int(pipe.sum())
             wc_cycles = int(frame_lat.max(initial=1))
@@ -323,7 +288,7 @@ class _Accumulator:
             wc_queries_obs=self.wc_q,
             wc_cycles_obs=self.wc_c,
             capped=capped,
-            _k=k,
+            k=k,
         )
 
 
@@ -407,12 +372,7 @@ def run_point(cfg: SweepConfig, ebn0_db: float) -> PointStats:
     """Simulate a single point for a single-variant config."""
     if len(cfg.variants) != 1:
         raise ValueError("run_point expects exactly one variant")
-    single = SweepConfig(
-        code=cfg.code, variants=cfg.variants, ebn0_db=(ebn0_db,),
-        min_frame_errors=cfg.min_frame_errors, max_frames=cfg.max_frames,
-        seed=cfg.seed, quantize=cfg.quantize, workers=cfg.workers,
-    )
-    return _simulate(single)[0].stats[0]
+    return _simulate(replace(cfg, ebn0_db=(ebn0_db,)))[0].stats[0]
 
 
 # ---------------------------------------------------------------------------

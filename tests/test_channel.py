@@ -63,6 +63,17 @@ def test_transmit_deterministic_under_seed():
     assert np.array_equal(a, b)
 
 
+def test_transmit_batch_draws_rows_in_order():
+    # an (m, n) batch is m frames sent one after another from the same stream
+    cfg = ChannelConfig(3.0, 0.82)
+    bits = np.random.default_rng(1).integers(0, 2, (3, 16))
+    batch = transmit(bits, cfg, np.random.default_rng(42)).llr
+    rng = np.random.default_rng(42)
+    rows = [transmit(b, cfg, rng).llr for b in bits]
+    assert batch.shape == (3, 16)
+    assert np.array_equal(batch, np.array(rows))
+
+
 def test_quantizer_pinned_values():
     v = SoftVector(np.array([0.06, -0.3125, 10.0, -10.0, 0.0, 1.875, -0.0625]))
     q = quantize(v)

@@ -118,6 +118,25 @@ class TestMainCommand:
         assert err.startswith("error:")
         assert fragment in err
 
+    @pytest.mark.parametrize("argv, fragment", [
+        (["--decoder", "grandab", "--alpha", "3"],
+         "--alpha does not apply to --decoder grandab"),
+        (["--decoder", "grandab", "--pmax", "4"], "--pmax does not apply"),
+        (["--decoder", "orbgrand", "--ab", "2"], "--ab does not apply"),
+        (["--decoder", "orbgrand", "--beta", "7"], "--beta does not apply"),
+        (["--decoder", "stepgrand", "--lwmax", "40"], "--lwmax does not apply"),
+        (["--ab", "2"], "--ab does not apply to --decoder stepgrand"),
+        (["--compare", "grandab(ab=1);grandab(ab=2)", "--ab", "3"],
+         "--ab: not read with --compare"),
+        (["--compare", "stepgrand;orbgrand", "--pmax", "4", "--alpha", "1"],
+         "--alpha --pmax: not read with --compare"),
+    ])
+    def test_flag_the_decoder_does_not_read_exits_nonzero(self, argv, fragment, capsys):
+        rc = main(["--code", "bch127", "--ebn0", "4", *argv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and fragment in err
+
     @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
     def test_out_of_range_seed_exits_nonzero(self, seed, capsys):
         rc = main(["--code", "bch127", "--ebn0", "4", f"--seed={seed}"])

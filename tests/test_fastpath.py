@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stepgrand.channel import SoftVector, harden, noise_sigma, quantize
 from stepgrand.codes import build_bch, build_ca_polar, code_from_generator
@@ -20,6 +22,7 @@ from stepgrand.fastpath import (
     packed_parity_columns,
 )
 from stepgrand.gf2 import BitMatrix, BitWord
+from stepgrand.hwmodel import LatencyModel, anchor_steps
 
 
 def literal_outcome(v, code, spec):
@@ -222,7 +225,7 @@ class TestStepEngine:
             llrs = np.array([f[0].llr for f in frames])
             assert (llrs == 0).any()
             assert any(len(set(row)) < code.n for row in np.abs(llrs))
-        pos, _ = search(engine, frames, cols)
+        pos = search(engine, frames, cols)
         outcomes = [literal_outcome(v, code, spec) for v, _, _ in frames]
         assert pos.tolist() == [o[0] for o in outcomes]
         for (v, perm, target), want in zip(frames, outcomes):
@@ -243,7 +246,7 @@ class TestStepEngine:
         cols = packed_parity_columns(code)
         rng = np.random.default_rng([int(ebn0), code.n])
         frames = nonclean_frames(code, rng, 200, ebn0=ebn0)
-        pos, _ = search(engine, frames, cols)
+        pos = search(engine, frames, cols)
         flips = engine.flip_mask(np.array([f[1] for f in frames]), pos)
         want = [oracle.decode_frame(p, cols, t) for _, p, t in frames]
         assert pos.tolist() == [r.stream_position for r in want]
@@ -261,8 +264,8 @@ class TestStepEngine:
         engine, oracle = StepEngine(code, spec), SoftEngine(code, spec)
         cols = packed_parity_columns(code)
         frames = nonclean_frames(code, np.random.default_rng(m), m, ebn0=3.0)
-        pos, step = search(engine, frames, cols)
-        assert pos.shape == step.shape == (m,)
+        pos = search(engine, frames, cols)
+        assert pos.shape == (m,)
         assert pos.tolist() == [oracle.decode_frame(p, cols, t).stream_position
                                 for _, p, t in frames]
 
@@ -271,15 +274,16 @@ class TestStepEngine:
     def test_schedules_without_composite_entries(self, spec):
         code = build_ca_polar(128, 105)
         engine, oracle = StepEngine(code, spec), SoftEngine(code, spec)
+        steps = LatencyModel(code.n, spec.schedule(code.n)).stream_steps
         assert engine.pair_bits == 0
-        assert engine.last_step == 2
+        assert steps[-1] == 2
         cols = packed_parity_columns(code)
         frames = nonclean_frames(code, np.random.default_rng(17), 80, ebn0=5.0)
-        pos, step = search(engine, frames, cols)
+        pos = search(engine, frames, cols)
         want = [oracle.decode_frame(p, cols, t).stream_position for _, p, t in frames]
         assert pos.tolist() == want
         weights = np.where(pos >= 0, engine.weights[pos], 2)
-        assert step.tolist() == weights.tolist()
+        assert steps[pos].tolist() == weights.tolist()
         assert (pos >= 0).any() and (pos < 0).any()
 
     @pytest.mark.parametrize("largest", [False, True], ids=["inner", "last-key"])
@@ -292,7 +296,8 @@ class TestStepEngine:
         # kept here. With largest, (0, 5) also has the largest pair syndrome,
         # so the anchor's query sorts past the last key.
         code = build_ca_polar(32, 20, crc=None)
-        engine = StepEngine(code, StepGrandSpec(1, 6, 3))
+        spec = StepGrandSpec(1, 6, 3)
+        engine = StepEngine(code, spec)
         entry = next(e for e in engine.entries if e.weight == 3)
         engine.entries = [entry]
         cols = np.random.default_rng(5).integers(1, 1 << 11, code.n, dtype=np.int32)
@@ -306,13 +311,15 @@ class TestStepEngine:
         assert first == (0, 5)
         assert (max(pair_syn) == pair_syn[pairs.index(first)]) == largest
         perm = np.arange(code.n)
-        pos, step = engine.search(perm[None, :], cols, np.array([target], dtype=np.int32))
+        pos = engine.search(perm[None, :], cols, np.array([target], dtype=np.int32))
         patterns = list(itertools.combinations(range(entry.gamma), 3))
         want = next(i for i, p in enumerate(patterns)
                     if int(np.bitwise_xor.reduce(cols[list(p)])) == target)
         assert patterns[want] == (1, 2, 3)
         assert pos[0] == entry.offset + want
-        assert step[0] == entry.base_step + 2  # anchor (1,) is the second
+        schedule = spec.schedule(code.n)
+        step = LatencyModel(code.n, schedule).stream_steps[pos[0]]
+        assert step == anchor_steps(schedule)[0][3] + 2  # anchor (1,) is the second
 
     def test_rejects_keys_wider_than_63_bits(self):
         class Wide(StepEngine):
@@ -320,3 +327,54 @@ class TestStepEngine:
 
         with pytest.raises(ValueError, match="63"):
             Wide(build_ca_polar(128, 105), StepGrandSpec(2, 6, 6))
+
+
+CONTRACT_ENGINES = {
+    "grandab": lambda code: build_engine(code, GrandabSpec(3)),
+    "orbgrand": lambda code: build_engine(code, OrbgrandSpec(lw_max=20, p_max=3)),
+    "stepgrand": lambda code: build_engine(code, StepGrandSpec(1, 5, 4)),
+    "soft-stepped": lambda code: SoftEngine(code, StepGrandSpec(1, 5, 4)),
+}
+
+
+def contract_llrs(rng, n, kind):
+    llr = rng.normal(2.0, 1.5, size=n)
+    if kind == "tied":
+        llr = np.round(llr)
+    elif kind == "zero":
+        llr[rng.random(n) < 0.25] = 0.0
+    elif kind == "quantized":
+        llr = quantize(SoftVector(llr=llr)).llr
+    return SoftVector(llr=llr)
+
+
+class TestEngineContract:
+    @pytest.mark.parametrize("name", list(CONTRACT_ENGINES))
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nk=st.sampled_from([(20, 10), (24, 12)]),
+           kind=st.sampled_from(["float", "tied", "zero", "quantized"]))
+    def test_search_and_flip_mask_match_decode(self, name, seed, nk, kind):
+        rng = np.random.default_rng(seed)
+        code = random_code(rng, *nk)
+        engine = CONTRACT_ENGINES[name](code)
+        cols = packed_parity_columns(code)
+        frames = []
+        for _ in range(12):
+            v = contract_llrs(rng, code.n, kind)
+            s = code.syndrome(BitWord.from_array(harden(v)))
+            if not s.is_zero():
+                frames.append((v, np.argsort(np.abs(v.llr), kind="stable"), s.value))
+        assume(frames)
+        perms = np.array([f[1] for f in frames])
+        targets = np.array([f[2] for f in frames], dtype=np.int32)
+        pos = engine.search(perms, cols, targets)
+        flips = engine.flip_mask(perms, pos)
+        assert pos.dtype == np.int64 and flips.shape == (len(frames), code.n)
+        if isinstance(engine, HardEngine):
+            reports = engine.decode_frames(targets)
+        else:
+            reports = [engine.decode_frame(p, cols, t) for _, p, t in frames]
+        for (v, _, _), p, row, report in zip(frames, pos, flips, reports):
+            want = literal_outcome(v, code, engine.spec)
+            assert (p, tuple(np.flatnonzero(row).tolist())) == want
+            assert (report.stream_position, report.positions) == want

@@ -3,16 +3,13 @@ import math
 
 import pytest
 
-from stepgrand.decoder import ABANDONED, CLEAN, HIT, DecodeTrace
+from stepgrand.decoder import ABANDONED, CLEAN, HIT, DecodeTrace, StepGrandSpec
 from stepgrand.hwmodel import (
     LatencyModel,
     anchor_steps,
-    average_cycles,
     combination_rank,
-    frame_cycles,
     info_throughput_bps,
     latency_seconds,
-    worst_case_cycles,
 )
 from stepgrand.patterns import build_step_schedule, step_grand_teps
 
@@ -43,7 +40,7 @@ class TestCombinationRank:
 class TestWorstCase:
     def test_reference_count_is_279(self):
         model = reference_model()
-        assert worst_case_cycles(model) == 279
+        assert model.worst_case == 279
         # itemized: initial + one-flip step + two-flip step, 7 sorter stages,
         # then C(28,1) + C(16,2) + C(10,3) + C(4,4) composite steps
         assert model.fixed_overhead + model.sorter_cycles == 10
@@ -64,7 +61,7 @@ class TestWorstCase:
 
     def test_no_composite_terms_below_weight_three(self):
         model = LatencyModel(n=64, schedule=build_step_schedule(1, 2, 2, n=64))
-        assert worst_case_cycles(model) == 3 + 6
+        assert model.worst_case == 3 + 6
 
     def test_requires_power_of_two(self):
         with pytest.raises(ValueError, match="power-of-two"):
@@ -105,16 +102,11 @@ class TestFrameCycles:
         trace = DecodeTrace(
             outcome=HIT, weight=6, ranks=(1, 2, 3, 4, 5, 6), stream_position=8827
         )
-        assert model.frame_cycles(trace) == worst_case_cycles(model)
+        assert model.frame_cycles(trace) == model.worst_case
 
     def test_abandonment_costs_worst_case(self):
         model = reference_model()
         assert model.frame_cycles(DecodeTrace(outcome=ABANDONED)) == 279
-
-    def test_module_level_wrapper(self):
-        model = reference_model()
-        trace = DecodeTrace(outcome=HIT, weight=1, ranks=(3,), stream_position=2)
-        assert frame_cycles(trace, model) == model.frame_cycles(trace)
 
     def test_malformed_traces(self):
         model = reference_model()
@@ -138,7 +130,7 @@ class TestFrameCycles:
                 outcome=HIT, weight=tep.weight, ranks=tep.ranks, stream_position=i
             )
             cycles = model.frame_cycles(trace)
-            assert last <= cycles <= worst_case_cycles(model)
+            assert last <= cycles <= model.worst_case
             last = cycles
             steps_seen[tep.weight].add(cycles)
         for gamma, hw in schedule.entries:
@@ -169,8 +161,19 @@ class TestThroughput:
         bps = info_throughput_bps(105, CLOCK_HZ, 279)
         assert math.isclose(bps, 170.8e6, rel_tol=5e-3)
 
-    def test_average_cycles(self):
-        assert average_cycles([1, 1, 9, 1]) == 3.0
-        assert average_cycles([42]) == 42.0
-        with pytest.raises(ValueError, match="at least one"):
-            average_cycles([])
+
+class TestStreamSteps:
+    @pytest.mark.parametrize("spec", [StepGrandSpec(2, 6, 6), StepGrandSpec(1, 6, 2)],
+                             ids=lambda s: s.label)
+    def test_table_equals_time_step_at_every_position(self, spec):
+        schedule = spec.schedule(128)
+        model = LatencyModel(n=128, schedule=schedule)
+        steps = model.stream_steps
+        assert steps.dtype == "int64"
+        assert len(steps) == spec.pattern_count(128) + 1
+        for p, tep in enumerate(step_grand_teps(schedule)):
+            trace = DecodeTrace(outcome=HIT, weight=tep.weight, ranks=tep.ranks,
+                                stream_position=p)
+            assert steps[p] == model.time_step(trace)
+        assert steps[-1] == anchor_steps(schedule)[1]
+        assert steps[-1] == model.time_step(DecodeTrace(outcome=ABANDONED))

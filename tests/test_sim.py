@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from stepgrand import sim
-from stepgrand.channel import SoftVector, noise_sigma
+from stepgrand.channel import ChannelConfig, SoftVector, noise_sigma, transmit
 from stepgrand.codes import LinearCode, build_bch, build_ca_polar
 from stepgrand.decoder import (
     ABANDONED,
+    CLEAN,
     HIT,
     DecodeTrace,
     GrandabSpec,
@@ -315,8 +316,8 @@ class TestStepCycles:
             gamma, w = schedule.entries[i % 7] if i % 7 < 6 else (code.n, 9)
             ranks = rng.choice(gamma, size=w, replace=False)
             targets[i] = np.bitwise_xor.reduce(cols[perms[i, ranks]])
-        pos, step = engine.search(perms, cols, targets)
-        frame_lat, pipe = model.cycles_from_steps(step)
+        pos = engine.search(perms, cols, targets)
+        frame_lat, pipe = model.cycles_from_steps(model.stream_steps[pos])
         weights = engine.weights[pos[pos >= 0]]
         assert (pos < 0).sum() > 40
         assert {1, 2, 3, 4, 5, 6} <= set(weights.tolist())
@@ -329,6 +330,31 @@ class TestStepCycles:
                                     stream_position=p)
             assert f == model.frame_cycles(trace)
             assert c == model.pipeline_cycles(trace)
+
+    def test_sweep_cycles_match_per_frame_model(self):
+        # replay chunk 0 with the literal decoder and charge every frame by
+        # the per-trace latency model: the sweep's average is the pipelined
+        # count, its worst case the full frame latency
+        code = build_ca_polar(32, 20, crc=None)
+        spec = StepGrandSpec(1, 6, 3)
+        seed, ebn0, frames = 4, 3.0, 600
+        cfg = SweepConfig(code=code, variants=(spec,), ebn0_db=(ebn0,),
+                          min_frame_errors=10**9, max_frames=frames, seed=seed)
+        stats = run_point(cfg, ebn0)
+
+        model = LatencyModel(code.n, spec.schedule(code.n))
+        rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+        msgs = rng.integers(0, 2, size=(CHUNK_FRAMES, code.k), dtype=np.uint8)
+        cw = np.array([code.encode(BitWord.from_array(m)).to_array()
+                       for m in msgs[:frames]])
+        llrs = transmit(cw, ChannelConfig(ebn0, code.rate), rng).llr
+        traces = [decode(SoftVector(llr=llr), code, spec.teps(code.n), True).trace
+                  for llr in llrs]
+        assert {t.outcome for t in traces} == {CLEAN, HIT, ABANDONED}
+        assert any(t.weight == 3 for t in traces)
+        pipe = [model.pipeline_cycles(t) for t in traces]
+        assert stats.avg_cycles == pytest.approx(sum(pipe) / frames)
+        assert stats.wc_cycles_obs == max(model.frame_cycles(t) for t in traces)
 
 
 class TestSoftEngineOracle:
