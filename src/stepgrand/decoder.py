@@ -60,7 +60,7 @@ class DecodeResult:
 
     queries counts membership tests including the initial hard-word check,
     so a clean frame reports 1. On abandonment message, codeword and
-    noise_guess are None. cycles is None until a latency model fills it in.
+    noise_guess are None.
     """
 
     message: BitWord | None
@@ -69,7 +69,6 @@ class DecodeResult:
     queries: int
     abandoned: bool
     trace: DecodeTrace
-    cycles: int | None = None
 
 
 def syndrome_precompute(

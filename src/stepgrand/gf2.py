@@ -110,10 +110,6 @@ class BitMatrix:
                 raise ValueError(f"row {i} does not fit in {self.n_cols} bits")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[int], n_cols: int) -> "BitMatrix":
-        return cls(len(rows), n_cols, tuple(rows))
-
-    @classmethod
     def from_array(cls, arr: np.ndarray) -> "BitMatrix":
         a = np.atleast_2d(np.asarray(arr, dtype=np.uint8) & 1)
         packed = np.packbits(a, axis=1, bitorder="little")
@@ -127,9 +123,6 @@ class BitMatrix:
             raw = np.frombuffer(r.to_bytes(nbytes, "little"), dtype=np.uint8)
             out[i] = np.unpackbits(raw, bitorder="little")[: self.n_cols]
         return out
-
-    def bit(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
 
     def column(self, j: int) -> int:
         """Column j packed into an int (bit i = row i)."""

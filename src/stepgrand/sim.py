@@ -18,29 +18,38 @@ figures use full frame latency.
 
 Each chunk runs every variant through the same engine contract of
 `fastpath` (stream positions, then flip masks) and takes its cycle counts
-from `hwmodel`'s step table, indexed by those stream positions.
+from `hwmodel`'s step table, indexed by those stream positions. A chunk
+returns its statistics as int64 arrays with one row per variant: sums
+(frame errors, bit errors, queries, cycles), peaks (worst-case queries and
+cycles) and the discordant-frame matrix, which is the product E (1 - E)^T
+of the (variant, frame) error-flag matrix E. A point adds sums and discord
+matrices chunk by chunk and keeps the elementwise maximum of the peaks.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .channel import ChannelConfig, quantize, transmit
 from .codes import LinearCode
-from .decoder import DecoderSpec, StepGrandSpec
+from .decoder import DecoderSpec, GrandabSpec, StepGrandSpec
 from .fastpath import build_engine, packed_parity_columns
 from .hwmodel import LatencyModel
 
 CHUNK_FRAMES = 1024
 _MASK64 = (1 << 64) - 1
+# grandab and stepgrand engines hold every pattern of their stream in
+# tables; above this many patterns a config is refused before any is built
+MAX_TABLE_PATTERNS = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -69,6 +78,15 @@ class SweepConfig:
             raise ValueError("workers must be >= 1")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        for spec in self.variants:
+            # orbgrand is not checked: its count enumerates the whole stream
+            if isinstance(spec, (GrandabSpec, StepGrandSpec)):
+                count = spec.pattern_count(self.code.n)
+                if count > MAX_TABLE_PATTERNS:
+                    raise ValueError(
+                        f"{spec.label} has {count} patterns at n={self.code.n},"
+                        f" above the table limit of {MAX_TABLE_PATTERNS}"
+                    )
 
 
 @dataclass(frozen=True)
@@ -145,6 +163,14 @@ def sign_test_pvalue(worse: int, total: int) -> float:
 _STATE: dict = {}
 
 
+def _latency_model(spec: DecoderSpec, n: int) -> LatencyModel | None:
+    """The cycle model of a variant; only the stepped schedule on
+    power-of-two block lengths has one."""
+    if isinstance(spec, StepGrandSpec) and n >= 2 and n & (n - 1) == 0:
+        return LatencyModel(n, spec.schedule(n))
+    return None
+
+
 def _init_worker(code: LinearCode, variants: tuple[DecoderSpec, ...],
                  quantize_flag: bool) -> None:
     n, k = code.n, code.k
@@ -153,13 +179,7 @@ def _init_worker(code: LinearCode, variants: tuple[DecoderSpec, ...],
     g_inv32 = code.generator_right_inverse.to_array().astype(np.float32)
     cols = packed_parity_columns(code)
     engines = [build_engine(code, spec) for spec in variants]
-    models = []
-    power_of_two = n >= 2 and n & (n - 1) == 0
-    for spec in variants:
-        if isinstance(spec, StepGrandSpec) and power_of_two:
-            models.append(LatencyModel(n, spec.schedule(n)))
-        else:
-            models.append(None)
+    models = [_latency_model(spec, n) for spec in variants]
     _STATE.clear()
     _STATE.update(
         engines=engines, models=models, g32=g32, h_t32=h_t32, g_inv32=g_inv32,
@@ -206,90 +226,35 @@ def _run_chunk(point_index: int, chunk_index: int, ebn0_db: float,
     if _STATE["sorting"]:
         perms = np.argsort(np.abs(llr[nonclean]), axis=1, kind="stable")
 
-    out = []
-    error_flags = []
-    for engine, model in zip(_STATE["engines"], _STATE["models"]):
+    v = len(_STATE["engines"])
+    sums = np.zeros((v, 4), dtype=np.int64)
+    peaks = np.zeros((v, 2), dtype=np.int64)
+    errors = np.tile(clean_errors, (v, 1))
+    for i, (engine, model) in enumerate(zip(_STATE["engines"], _STATE["models"])):
         pos = engine.search(perms, _STATE["cols"], targets)
         flips = engine.flip_mask(perms, pos)
         hit = pos >= 0
         queries = np.ones(frames_used, dtype=np.int64)
         queries[nonclean] = np.where(hit, pos + 2, 1 + engine.pattern_count)
-        errors = clean_errors.copy()
-        errors[nonclean] = ~hit | (flips != e_nonclean).any(axis=1)
+        err = errors[i]
+        err[nonclean] = ~hit | (flips != e_nonclean).any(axis=1)
 
         corrected = hard.copy()
         corrected[nonclean] ^= flips
-        bit_errors = _bit_errors(corrected[errors], msgs[errors])
-
-        cycles = wc_cycles = None
+        sums[i, :3] = err.sum(), _bit_errors(corrected[err], msgs[err]), queries.sum()
+        peaks[i, 0] = queries.max()
         if model:
             frame_lat, pipe = model.cycles_from_steps(model.stream_steps[pos])
             # clean frames cost one cycle on both counters
-            cycles = frames_used - nonclean.size + int(pipe.sum())
-            wc_cycles = int(frame_lat.max(initial=1))
+            sums[i, 3] = frames_used - nonclean.size + pipe.sum()
+            peaks[i, 1] = frame_lat.max(initial=1)
 
-        out.append(
-            (
-                int(errors.sum()),
-                bit_errors,
-                int(queries.sum()),
-                cycles,
-                int(queries.max()),
-                wc_cycles,
-            )
-        )
-        error_flags.append(errors)
-
-    v = len(error_flags)
-    discord = [[0] * v for _ in range(v)]
-    for i in range(v):
-        for j in range(v):
-            if i != j:
-                discord[i][j] = int((error_flags[i] & ~error_flags[j]).sum())
-    return frames_used, out, discord
+    e = errors.astype(np.int64)
+    return frames_used, sums, peaks, e @ (1 - e).T
 
 
 # ---------------------------------------------------------------------------
 # Point and sweep drivers
-
-
-class _Accumulator:
-    def __init__(self) -> None:
-        self.frames = 0
-        self.errors = 0
-        self.bit_errors = 0
-        self.queries = 0
-        self.cycles: int | None = 0
-        self.wc_q = 0
-        self.wc_c: int | None = 0
-
-    def add(self, frames: int, row) -> None:
-        errors, bit_errors, queries, cycles, wc_q, wc_c = row
-        self.frames += frames
-        self.errors += errors
-        self.bit_errors += bit_errors
-        self.queries += queries
-        if cycles is None:
-            self.cycles = None
-            self.wc_c = None
-        else:
-            self.cycles += cycles
-            self.wc_c = max(self.wc_c, wc_c)
-        self.wc_q = max(self.wc_q, wc_q)
-
-    def stats(self, ebn0_db: float, k: int, capped: bool) -> PointStats:
-        return PointStats(
-            ebn0_db=ebn0_db,
-            frames=self.frames,
-            frame_errors=self.errors,
-            bit_errors=self.bit_errors,
-            avg_queries=self.queries / self.frames,
-            avg_cycles=None if self.cycles is None else self.cycles / self.frames,
-            wc_queries_obs=self.wc_q,
-            wc_cycles_obs=self.wc_c,
-            capped=capped,
-            k=k,
-        )
 
 
 def _chunk_plan(max_frames: int) -> list[int]:
@@ -309,7 +274,7 @@ def _results_in_order(cfg: SweepConfig, point_index: int, ebn0: float,
         for ci, frames_used in enumerate(plan):
             yield _run_chunk(point_index, ci, ebn0, frames_used, cfg.seed)
         return
-    window = cfg.workers * 2
+    window = _pool_size(cfg) * 2
     futures: dict[int, object] = {}
     submitted = 0
     for ci in range(len(plan)):
@@ -323,45 +288,57 @@ def _results_in_order(cfg: SweepConfig, point_index: int, ebn0: float,
 
 def _simulate_point(cfg: SweepConfig, point_index: int, ebn0: float,
                     executor) -> ComparePoint:
-    accs = [_Accumulator() for _ in cfg.variants]
     v = len(cfg.variants)
-    discord = [[0] * v for _ in range(v)]
-    plan = _chunk_plan(cfg.max_frames)
+    sums = np.zeros((v, 4), dtype=np.int64)
+    peaks = np.zeros((v, 2), dtype=np.int64)
+    discord = np.zeros((v, v), dtype=np.int64)
     frames = 0
-    for frames_used, rows, chunk_discord in _results_in_order(
-        cfg, point_index, ebn0, plan, executor
+    capped = True
+    for frames_used, chunk_sums, chunk_peaks, chunk_discord in _results_in_order(
+        cfg, point_index, ebn0, _chunk_plan(cfg.max_frames), executor
     ):
         frames += frames_used
-        for acc, row in zip(accs, rows):
-            acc.add(frames_used, row)
-        for i in range(v):
-            for j in range(v):
-                discord[i][j] += chunk_discord[i][j]
-        if all(acc.errors >= cfg.min_frame_errors for acc in accs):
+        sums += chunk_sums
+        np.maximum(peaks, chunk_peaks, out=peaks)
+        discord += chunk_discord
+        if (sums[:, 0] >= cfg.min_frame_errors).all():
+            capped = False
             break
-    capped = not all(acc.errors >= cfg.min_frame_errors for acc in accs)
-    stats = tuple(acc.stats(ebn0, cfg.code.k, capped) for acc in accs)
+    stats = []
+    for spec, (errors, bit_errors, queries, cycles), (wc_q, wc_c) in zip(
+        cfg.variants, sums.tolist(), peaks.tolist()
+    ):
+        timed = _latency_model(spec, cfg.code.n) is not None
+        stats.append(PointStats(
+            ebn0_db=ebn0, frames=frames, frame_errors=errors,
+            bit_errors=bit_errors, avg_queries=queries / frames,
+            avg_cycles=cycles / frames if timed else None,
+            wc_queries_obs=wc_q, wc_cycles_obs=wc_c if timed else None,
+            capped=capped, k=cfg.code.k,
+        ))
     return ComparePoint(
-        ebn0_db=ebn0,
-        frames=frames,
-        capped=capped,
-        stats=stats,
-        discordant=tuple(tuple(r) for r in discord),
+        ebn0_db=ebn0, frames=frames, capped=capped, stats=tuple(stats),
+        discordant=tuple(map(tuple, discord.tolist())),
     )
 
 
+def _pool_size(cfg: SweepConfig) -> int:
+    """Worker processes for a sweep: more than one per CPU only adds
+    table-building workers, since the output does not depend on the count."""
+    return min(cfg.workers, os.cpu_count() or 1)
+
+
 def _simulate(cfg: SweepConfig) -> list[ComparePoint]:
-    if cfg.workers == 1:
+    if _pool_size(cfg) == 1:
         _init_worker(cfg.code, cfg.variants, cfg.quantize)
-        return [
-            _simulate_point(cfg, pi, ebn0, None)
-            for pi, ebn0 in enumerate(cfg.ebn0_db)
-        ]
-    with ProcessPoolExecutor(
-        max_workers=cfg.workers,
-        initializer=_init_worker,
-        initargs=(cfg.code, cfg.variants, cfg.quantize),
-    ) as executor:
+        pool = nullcontext()  # chunks run in this process
+    else:
+        pool = ProcessPoolExecutor(
+            max_workers=_pool_size(cfg),
+            initializer=_init_worker,
+            initargs=(cfg.code, cfg.variants, cfg.quantize),
+        )
+    with pool as executor:
         return [
             _simulate_point(cfg, pi, ebn0, executor)
             for pi, ebn0 in enumerate(cfg.ebn0_db)
@@ -377,10 +354,6 @@ def run_point(cfg: SweepConfig, ebn0_db: float) -> PointStats:
 
 # ---------------------------------------------------------------------------
 # CSV emission
-
-
-def _fmt_float(x: float | None, spec: str) -> str:
-    return "" if x is None else format(x, spec)
 
 
 def _metadata_lines(cfg: SweepConfig) -> list[str]:
@@ -408,8 +381,8 @@ def _metadata_lines(cfg: SweepConfig) -> list[str]:
 
 
 _STAT_COLUMNS = (
-    "frame_errors,bit_errors,fer,ber,avg_queries,avg_cycles,"
-    "wc_queries_obs,wc_cycles_obs"
+    "frame_errors", "bit_errors", "fer", "ber", "avg_queries", "avg_cycles",
+    "wc_queries_obs", "wc_cycles_obs",
 )
 
 
@@ -420,46 +393,28 @@ def _stat_cells(s: PointStats) -> list[str]:
         format(s.fer, ".6e"),
         format(s.ber, ".6e"),
         format(s.avg_queries, ".6f"),
-        _fmt_float(s.avg_cycles, ".6f"),
+        "" if s.avg_cycles is None else format(s.avg_cycles, ".6f"),
         str(s.wc_queries_obs),
         "" if s.wc_cycles_obs is None else str(s.wc_cycles_obs),
     ]
 
 
-def _open_out(out):
-    if out == "-":
-        return sys.stdout, False
-    return open(Path(out), "w"), True
-
-
 def write_sweep_csv(cfg: SweepConfig, points: Sequence[ComparePoint], out) -> None:
-    fh, close = _open_out(out)
-    try:
+    # a single variant's columns carry no prefix; compare files number them
+    prefixes = [""] if len(cfg.variants) == 1 else [
+        f"v{i}_" for i in range(1, len(cfg.variants) + 1)
+    ]
+    with nullcontext(sys.stdout) if out == "-" else open(out, "w") as fh:
         for line in _metadata_lines(cfg):
             print(line, file=fh)
-        if len(cfg.variants) == 1:
-            print(f"ebn0_db,frames,{_STAT_COLUMNS},capped", file=fh)
-            for point in points:
-                s = point.stats[0]
-                cells = [format(point.ebn0_db, "g"), str(point.frames)]
+        columns = [p + c for p in prefixes for c in _STAT_COLUMNS]
+        print(",".join(["ebn0_db", "frames", *columns, "capped"]), file=fh)
+        for point in points:
+            cells = [format(point.ebn0_db, "g"), str(point.frames)]
+            for s in point.stats:
                 cells += _stat_cells(s)
-                cells.append(str(int(point.capped)))
-                print(",".join(cells), file=fh)
-        else:
-            per_variant = [
-                ",".join(f"v{i}_{c}" for c in _STAT_COLUMNS.split(","))
-                for i in range(1, len(cfg.variants) + 1)
-            ]
-            print("ebn0_db,frames," + ",".join(per_variant) + ",capped", file=fh)
-            for point in points:
-                cells = [format(point.ebn0_db, "g"), str(point.frames)]
-                for s in point.stats:
-                    cells += _stat_cells(s)
-                cells.append(str(int(point.capped)))
-                print(",".join(cells), file=fh)
-    finally:
-        if close:
-            fh.close()
+            cells.append(str(int(point.capped)))
+            print(",".join(cells), file=fh)
 
 
 def run_sweep(cfg: SweepConfig, out=None) -> list[PointStats]:

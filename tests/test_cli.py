@@ -110,6 +110,9 @@ class TestMainCommand:
           "grandab(ab=2);nosuch"], "unknown decoder"),
         (["--code", "bch127", "--ebn0", "4", "--min-frame-errors", "0"],
          "min_frame_errors"),
+        (["--code", "capolar128", "--decoder", "grandab", "--ab", "5",
+          "--ebn0", "4"], "grandab(ab=5) has 275584032 patterns at n=128,"
+         " above the table limit of 33554432"),
     ])
     def test_config_errors_exit_nonzero(self, argv, fragment, capsys):
         rc = main(argv)

@@ -250,6 +250,24 @@ class TestConfigValidation:
             SweepConfig(code=code, variants=(GrandabSpec(1),),
                         ebn0_db=(1.0,), workers=0)
 
+    def test_rejects_pattern_tables_above_the_limit(self):
+        code = identity_code(128)
+        SweepConfig(code=code, variants=(GrandabSpec(4),), ebn0_db=(1.0,))
+        for spec, count in ((GrandabSpec(5), 275_584_032),
+                            (StepGrandSpec(1, 12, 10), 171_330_665)):
+            limit = sim.MAX_TABLE_PATTERNS
+            with pytest.raises(ValueError, match=f"{count} patterns .* limit of {limit}"):
+                SweepConfig(code=code, variants=(GrandabSpec(1), spec),
+                            ebn0_db=(1.0,))
+
+    def test_orbgrand_stream_is_not_enumerated(self, monkeypatch):
+        def enumerate_stream(spec, n):
+            raise AssertionError("orbgrand pattern_count called")
+
+        monkeypatch.setattr(OrbgrandSpec, "pattern_count", enumerate_stream)
+        SweepConfig(code=identity_code(128), variants=(OrbgrandSpec(64, 6),),
+                    ebn0_db=(1.0,))
+
 
 class TestStatisticsHelpers:
     def test_wilson_interval_known_value(self):
@@ -378,3 +396,143 @@ class TestSoftEngineOracle:
         run_sweep(cfg, out=tmp_path / "soft.csv")
         assert workers > 1 or built == [cfg.variants[0]]
         assert (tmp_path / "soft.csv").read_bytes() == (tmp_path / "step.csv").read_bytes()
+
+
+_GOLDEN_META = (
+    "# stepgrand sweep\n"
+    "# code=capolar(32,20+0) n=32 k=20\n"
+    "{variants}"
+    "# ebn0_db=3,5\n"
+    "# seed=17 min_frame_errors=200 max_frames=2500 quantize=0 chunk_frames=1024\n"
+    "# queries include the initial hard-decision membership test\n"
+    "# avg_cycles: pipelined per-frame counter (sorter stages overlapped);"
+    " wc_cycles_obs: full frame latency; cycles are modeled only for the"
+    " stepped-schedule variant on power-of-two block lengths\n"
+)
+
+GOLDEN_SINGLE = _GOLDEN_META.format(
+    variants="# variant=stepgrand(a=1,b=6,p=3)\n"
+) + (
+    "ebn0_db,frames,frame_errors,bit_errors,fer,ber,avg_queries,avg_cycles,"
+    "wc_queries_obs,wc_cycles_obs,capped\n"
+    "3,1024,248,2021,2.421875e-01,9.868164e-02,39.130859,3.323242,105,12,0\n"
+    "5,2500,54,432,2.160000e-02,8.640000e-03,8.612800,1.799600,105,12,1\n"
+)
+
+GOLDEN_COMPARE = _GOLDEN_META.format(
+    variants="# variants=grandab(ab=2);stepgrand(a=1,b=6,p=3)\n"
+             "# v1=grandab(ab=2)\n"
+             "# v2=stepgrand(a=1,b=6,p=3)\n"
+) + (
+    "ebn0_db,frames,v1_frame_errors,v1_bit_errors,v1_fer,v1_ber,"
+    "v1_avg_queries,v1_avg_cycles,v1_wc_queries_obs,v1_wc_cycles_obs,"
+    "v2_frame_errors,v2_bit_errors,v2_fer,v2_ber,v2_avg_queries,"
+    "v2_avg_cycles,v2_wc_queries_obs,v2_wc_cycles_obs,capped\n"
+    "3,1024,385,2785,3.759766e-01,1.359863e-01,200.269531,,529,,"
+    "248,2021,2.421875e-01,9.868164e-02,39.130859,3.323242,105,12,0\n"
+    "5,2500,184,1232,7.360000e-02,2.464000e-02,55.352800,,529,,"
+    "54,432,2.160000e-02,8.640000e-03,8.612800,1.799600,105,12,1\n"
+)
+
+
+class TestGoldenCsv:
+    # two points on capolar(32,20): 3 dB stops after one chunk, 5 dB runs
+    # into the 2500-frame cap (two full chunks and a partial one); the
+    # stepped variant has cycles, grandab and its empty cells do not
+    @staticmethod
+    def config(*variants):
+        return SweepConfig(
+            code=build_ca_polar(32, 20, crc=None), variants=variants,
+            ebn0_db=(3.0, 5.0), min_frame_errors=200, max_frames=2500, seed=17,
+        )
+
+    def test_single_variant_bytes(self, tmp_path):
+        out = tmp_path / "single.csv"
+        run_sweep(self.config(StepGrandSpec(1, 6, 3)), out=out)
+        assert out.read_text() == GOLDEN_SINGLE
+
+    def test_compare_bytes_and_discord(self, tmp_path):
+        out = tmp_path / "compare.csv"
+        points = compare_decoders(
+            self.config(GrandabSpec(2), StepGrandSpec(1, 6, 3)), out=out
+        )
+        assert out.read_text() == GOLDEN_COMPARE
+        assert [p.discordant for p in points] == [((0, 153), (16, 0)),
+                                                  ((0, 133), (3, 0))]
+
+    def test_point_stats_are_python_numbers(self):
+        points = compare_decoders(self.config(GrandabSpec(2), StepGrandSpec(1, 6, 3)))
+        for point in points:
+            assert type(point.frames) is int
+            assert all(type(x) is int for row in point.discordant for x in row)
+            for s in point.stats:
+                for name in ("frames", "frame_errors", "bit_errors", "wc_queries_obs", "k"):
+                    assert type(getattr(s, name)) is int, name
+                assert type(s.avg_queries) is float
+                assert type(s.capped) is bool
+            grandab, step = point.stats
+            assert grandab.avg_cycles is None and grandab.wc_cycles_obs is None
+            assert type(step.avg_cycles) is float
+            assert type(step.wc_cycles_obs) is int
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: runs each chunk in this process at
+    submit time and records the pool size and the chunks in flight."""
+
+    made: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.max_workers = max_workers
+        self.pending = self.most_pending = 0
+        self.made.append(self)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def submit(self, fn, *args):
+        self.pending += 1
+        self.most_pending = max(self.most_pending, self.pending)
+        value = fn(*args)
+        pool = self
+
+        class Done:
+            def result(self):
+                pool.pending -= 1
+                return value
+
+        return Done()
+
+
+class TestWorkerPool:
+    # no process is started: the pool is a recording stand-in
+    @staticmethod
+    def config(workers):
+        return SweepConfig(
+            code=identity_code(8), variants=(GrandabSpec(1), GrandabSpec(2)),
+            ebn0_db=(1.0, 2.0), min_frame_errors=10**9,
+            max_frames=10 * CHUNK_FRAMES + 5, seed=3, workers=workers,
+        )
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        monkeypatch.setattr(_RecordingPool, "made", [])
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", _RecordingPool)
+        return _RecordingPool.made
+
+    def test_workers_above_cpu_count_open_one_per_cpu(self, monkeypatch, pools):
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
+        sequential = compare_decoders(self.config(1))
+        assert pools == []
+        assert compare_decoders(self.config(5000)) == sequential
+        assert [p.max_workers for p in pools] == [3]
+        assert pools[0].most_pending == 6
+
+    def test_unknown_cpu_count_runs_in_process(self, monkeypatch, pools):
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: None)
+        compare_decoders(self.config(5000))
+        assert pools == []
