@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
@@ -302,18 +301,11 @@ def polarization_weight_order(n: int) -> tuple[int, ...]:
     return tuple(int(i) for i in np.argsort(weights, kind="stable"))
 
 
-def load_reliability_sequence(path: str | Path | None = None) -> tuple[int, ...]:
+def load_reliability_sequence(path: str | Path) -> tuple[int, ...]:
     """Read a reliability ordering (0-based positions, least reliable first)
-    from a whitespace/comment text file; default is the bundled n=128 table."""
-    if path is None:
-        text = (
-            resources.files("stepgrand").joinpath("data/reliability_128.txt")
-            .read_text()
-        )
-    else:
-        text = Path(path).read_text()
+    from a whitespace/comment text file."""
     values = []
-    for line in text.splitlines():
+    for line in Path(path).read_text().splitlines():
         line = line.split("#", 1)[0]
         values.extend(int(tok) for tok in line.split())
     return tuple(values)
@@ -345,9 +337,9 @@ def build_ca_polar(
     folds into the k_info x n generator.
 
     reliability lists all n positions least-reliable-first; default is the
-    bundled table for n=128 and the beta-expansion order otherwise. Message
-    bits occupy the lower-indexed information positions in order, check bits
-    the remaining ones.
+    beta-expansion order of `polarization_weight_order`. Message bits occupy
+    the lower-indexed information positions in order, check bits the
+    remaining ones.
     """
     if n < 2 or n & (n - 1):
         raise ValueError(f"n must be a power of two >= 2, got {n}")
@@ -357,10 +349,7 @@ def build_ca_polar(
             f"k_info={k_info} plus {crc_deg} check bits does not fit n={n}"
         )
     if reliability is None:
-        if n == 128:
-            reliability = load_reliability_sequence()
-        else:
-            reliability = polarization_weight_order(n)
+        reliability = polarization_weight_order(n)
     if sorted(reliability) != list(range(n)):
         raise ValueError("reliability sequence must be a permutation of 0..n-1")
     info_positions = sorted(reliability[n - (k_info + crc_deg) :])

@@ -25,9 +25,10 @@ from .patterns import (
     StepSchedule,
     Tep,
     build_step_schedule,
+    grandab_count,
     grandab_teps,
     map_ranks,
-    max_logistic_weight,
+    orbgrand_count,
     orbgrand_teps,
     sort_reliability,
     step_grand_teps,
@@ -181,7 +182,7 @@ class GrandabSpec:
         return grandab_teps(n, self.max_weight)
 
     def pattern_count(self, n: int) -> int:
-        return sum(math.comb(n, w) for w in range(1, self.max_weight + 1))
+        return grandab_count(n, self.max_weight)
 
 
 @dataclass(frozen=True)
@@ -201,13 +202,10 @@ class OrbgrandSpec:
         return f"orbgrand(lw={lw},p={p})"
 
     def teps(self, n: int) -> Iterable[Tep]:
-        lw = max_logistic_weight(n) if self.lw_max is None else self.lw_max
-        p = n if self.p_max is None else self.p_max
-        return orbgrand_teps(n, lw, p)
+        return orbgrand_teps(n, self.lw_max, self.p_max)
 
     def pattern_count(self, n: int) -> int:
-        # no closed form for the truncated stream; count by enumeration
-        return sum(1 for _ in self.teps(n))
+        return orbgrand_count(n, self.lw_max, self.p_max)
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,11 @@ million-frame sweeps practical. Differential tests pin the equivalence.
 Syndromes are packed into int32 scalars (block lengths here leave n - k well
 under 31 bits), so a membership test is an integer compare.
 
-Every engine has one batched contract over the nonclean frames of a chunk:
-`search(perms, columns, targets)` returns each frame's stream position as
-int64 (-1 when abandoned), and `flip_mask(perms, pos)` the flipped bits as an
-(m, n) bool mask. perms is (m, n), row i mapping rank-1 (index 0) to the bit
+Every engine is a table of its stream's reliability ranks plus one batched
+search over the nonclean frames of a chunk: `search(perms, columns, targets)`
+returns each frame's stream position as int64 (-1 when abandoned), and the
+shared table base's `flip_mask(perms, pos)` the flipped bits as an (m, n)
+bool mask. perms is (m, n), row i mapping rank-1 (index 0) to the bit
 position holding that rank in frame i; engines that do not sort ignore it.
 Hardware time steps are not the engines' business: `hwmodel` maps stream
 positions to steps.
@@ -33,7 +34,6 @@ in a sorted bank of two-flip syndromes.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +41,7 @@ import numpy as np
 
 from .codes import LinearCode
 from .decoder import DecoderSpec, GrandabSpec, StepGrandSpec
+from .patterns import subset_table
 
 
 def packed_parity_columns(code: LinearCode) -> np.ndarray:
@@ -62,33 +63,90 @@ class HitReport:
     positions: tuple[int, ...]
 
 
-class HardEngine:
+def _stacked(blocks: list[np.ndarray], n: int) -> np.ndarray:
+    """Blocks of 0-based rank rows as one table, each row padded with n."""
+    width = max((b.shape[1] for b in blocks), default=1)
+    padded = [np.pad(b, ((0, 0), (0, width - b.shape[1])), constant_values=n)
+              for b in blocks]
+    return np.concatenate([np.empty((0, width), dtype=np.int32), *padded])
+
+
+class _RankPatterns:
+    """An engine's pattern stream as a table of reliability ranks.
+
+    rank_index[row] holds the 0-based ranks flipped by the pattern at stream
+    position row, ascending and padded with n; weights[row] is its flip
+    count. A spec that sorts by reliability maps ranks to bit positions
+    through each frame's perm; otherwise a rank is the bit position itself.
+    Subclasses supply `search`.
+    """
+
+    def __init__(self, code: LinearCode, spec: DecoderSpec, rank_index: np.ndarray):
+        self.code = code
+        self.spec = spec
+        self.rank_index = rank_index
+        self.weights = (rank_index < code.n).sum(axis=1, dtype=np.int8)
+        self.pattern_count = len(rank_index)
+
+    def hit_ranks(self, stream_position: int) -> tuple[int, ...]:
+        """1-based reliability ranks of the pattern at a stream position."""
+        w = int(self.weights[stream_position])
+        return tuple(int(r) + 1 for r in self.rank_index[stream_position, :w])
+
+    def flip_mask(self, perms, stream_position: np.ndarray) -> np.ndarray:
+        """Flipped bit positions per frame as an (m, n) bool mask; frames
+        with stream_position -1 flip nothing. perms is (m, n), one rank to
+        position map per frame, and is read only if the spec sorts."""
+        m, n = len(stream_position), self.code.n
+        hit = stream_position >= 0
+        ranks = np.full((m, self.rank_index.shape[1]), n, dtype=np.int64)
+        ranks[hit] = self.rank_index[stream_position[hit]]
+        if self.spec.uses_sorting:
+            padded = np.concatenate([perms, np.full((m, 1), n, dtype=perms.dtype)], axis=1)
+            ranks = np.take_along_axis(padded, ranks, axis=1)
+        mask = np.zeros((m, n + 1), dtype=bool)
+        mask[np.arange(m)[:, None], ranks] = True
+        return mask[:, :n]
+
+    def _report(self, perm, stream_position: int) -> HitReport:
+        """flip_mask's mapping for one frame, without a mask to build on
+        every call of the per-frame soft search."""
+        if stream_position < 0:
+            return HitReport(-1, ())
+        ranks = self.rank_index[stream_position, :self.weights[stream_position]]
+        positions = perm[ranks] if self.spec.uses_sorting else ranks
+        return HitReport(stream_position, tuple(sorted(positions.tolist())))
+
+    def decode_frame(self, perm: np.ndarray, columns: np.ndarray, target: int
+                     ) -> HitReport:
+        """One frame through `search`; perm maps rank-1 (index 0) to the bit
+        position holding that rank."""
+        pos = self.search(perm[None, :], columns, np.array([target], dtype=np.int32))
+        return self._report(perm, int(pos[0]))
+
+
+class HardEngine(_RankPatterns):
     """Weight-ordered hard-input sweep with per-weight syndrome tables."""
 
     def __init__(self, code: LinearCode, spec: GrandabSpec):
-        self.code = code
-        self.spec = spec
+        blocks = [subset_table(code.n, w) for w in range(1, spec.max_weight + 1)]
+        super().__init__(code, spec, _stacked(blocks, code.n))
         cols = packed_parity_columns(code)
         self.weight_tables = []
         offset = 0
-        for w in range(1, spec.max_weight + 1):
-            idx = np.array(
-                list(itertools.combinations(range(code.n), w)), dtype=np.int32
-            )
-            syn = cols[idx[:, 0]].copy()
-            for j in range(1, w):
-                syn ^= cols[idx[:, j]]
+        for w, block in enumerate(blocks, start=1):
+            positions = self.rank_index[offset:offset + len(block), :w]
+            syn = np.bitwise_xor.reduce(cols[positions], axis=1)
             order = np.argsort(syn, kind="stable")
             self.weight_tables.append(
                 {
-                    "positions": idx,
+                    "positions": positions,
                     "sorted_syn": syn[order],
                     "order": order.astype(np.int64),
                     "offset": offset,
                 }
             )
-            offset += len(idx)
-        self.pattern_count = offset
+            offset += len(block)
 
     def search(self, perms, columns, targets: np.ndarray) -> np.ndarray:
         """Stream position of the first match per nonzero frame syndrome,
@@ -107,57 +165,9 @@ class HardEngine:
             unresolved = unresolved[~hit]
         return pos
 
-    def flip_mask(self, perms, stream_position: np.ndarray) -> np.ndarray:
-        """Flipped bit positions per frame as an (m, n) bool mask; frames
-        with stream_position -1 flip nothing."""
-        mask = np.zeros((len(stream_position), self.code.n), dtype=bool)
-        for table in self.weight_tables:
-            row = stream_position - table["offset"]
-            frames = np.flatnonzero((row >= 0) & (row < len(table["positions"])))
-            mask[frames[:, None], table["positions"][row[frames]]] = True
-        return mask
-
     def decode_frames(self, syndromes: np.ndarray) -> list[HitReport]:
         """Resolve a batch of nonzero frame syndromes in stream order."""
-        pos = self.search(None, None, syndromes)
-        flips = self.flip_mask(None, pos)
-        return [HitReport(int(p), tuple(np.flatnonzero(f).tolist()))
-                for p, f in zip(pos, flips)]
-
-
-class _RankPatterns:
-    """A soft engine's pattern stream as a table of reliability ranks.
-
-    rank_index[row] holds the 0-based ranks flipped by the pattern at stream
-    position row, padded with n; weights[row] is its flip count.
-    """
-
-    rank_index: np.ndarray
-    weights: np.ndarray
-    pattern_count: int
-
-    def hit_ranks(self, stream_position: int) -> tuple[int, ...]:
-        """1-based reliability ranks of the pattern at a stream position."""
-        w = int(self.weights[stream_position])
-        return tuple(int(r) + 1 for r in self.rank_index[stream_position, :w])
-
-    def _report(self, perm: np.ndarray, row: int) -> HitReport:
-        if row < 0:
-            return HitReport(-1, ())
-        ranks = self.rank_index[row, :self.weights[row]]
-        return HitReport(row, tuple(sorted(int(perm[r]) for r in ranks)))
-
-    def flip_mask(self, perms: np.ndarray, stream_position: np.ndarray) -> np.ndarray:
-        """Flipped bit positions per frame as an (m, n) bool mask; frames
-        with stream_position -1 flip nothing. perms is (m, n), one rank to
-        position map per frame."""
-        m, n = perms.shape
-        ranks = self.rank_index[stream_position]
-        ranks[stream_position < 0] = n
-        padded = np.concatenate([perms, np.full((m, 1), n, dtype=perms.dtype)], axis=1)
-        mask = np.zeros((m, n + 1), dtype=bool)
-        mask[np.arange(m)[:, None], np.take_along_axis(padded, ranks, axis=1)] = True
-        return mask[:, :n]
+        return [self._report(None, int(p)) for p in self.search(None, None, syndromes)]
 
 
 class SoftEngine(_RankPatterns):
@@ -168,25 +178,18 @@ class SoftEngine(_RankPatterns):
     first_block = 1024
     growth = 4
 
-    def __init__(self, code: LinearCode, spec: DecoderSpec, n: int | None = None):
-        self.code = code
-        self.spec = spec
-        n = code.n if n is None else n
-        teps = list(spec.teps(n))
-        width = max((t.weight for t in teps), default=1)
-        idx = np.full((len(teps), width), n, dtype=np.int32)
-        weights = np.zeros(len(teps), dtype=np.int8)
-        for row, tep in enumerate(teps):
-            weights[row] = tep.weight
-            for j, r in enumerate(tep.ranks):
-                idx[row, j] = r - 1
-        self.rank_index = idx
-        self.weights = weights
-        self.pattern_count = len(teps)
+    def __init__(self, code: LinearCode, spec: DecoderSpec):
+        n = code.n
+        ranks = [tep.ranks for tep in spec.teps(n)]
+        width = max(map(len, ranks), default=1)
+        # 1-based ranks padded with n + 1, so one subtraction gives the table
+        table = np.array([r + (n + 1,) * (width - len(r)) for r in ranks],
+                         dtype=np.int32).reshape(-1, width) - 1
+        super().__init__(code, spec, table)
         edges = [0]
         b = self.first_block
-        while edges[-1] < len(teps):
-            edges.append(min(edges[-1] + b, len(teps)))
+        while edges[-1] < self.pattern_count:
+            edges.append(min(edges[-1] + b, self.pattern_count))
             b *= self.growth
         self.block_edges = edges
 
@@ -247,11 +250,6 @@ class _Entry:
     before: np.ndarray | None = None
 
 
-def _combinations(size: int, k: int) -> np.ndarray:
-    return np.array(list(itertools.combinations(range(size), k)),
-                    dtype=np.int32).reshape(-1, k)
-
-
 class StepEngine(_RankPatterns):
     """Anchor x pair-bank search of the stepped schedule, batched over frames.
 
@@ -272,21 +270,17 @@ class StepEngine(_RankPatterns):
     slice_frames = 64
 
     def __init__(self, code: LinearCode, spec: StepGrandSpec):
-        self.code = code
-        self.spec = spec
-        n = code.n
         parity_bits = code.n - code.k
         entries = []
         blocks = []
-        offset = 0
-        for gamma, w in spec.schedule(n).entries:
-            combos = _combinations(gamma, w)
-            entry = dict(gamma=gamma, weight=w, offset=offset)
+        for gamma, w in spec.schedule(code.n).entries:
+            entry = dict(gamma=gamma, weight=w, offset=sum(map(len, blocks)))
+            blocks.append(subset_table(gamma, w))
             if w >= 2:
-                pairs = _combinations(gamma, 2)
+                pairs = subset_table(gamma, 2)
                 entry.update(pair_i=pairs[:, 0], pair_j=pairs[:, 1])
             if w >= 3:
-                anchors = _combinations(gamma - 2, w - 2)
+                anchors = subset_table(gamma - 2, w - 2)
                 last = anchors[:, -1].astype(np.int64)
                 # bank index of pair (last + 1, last + 2), and the number of
                 # pairs above last, in a lexicographic bank over [0, gamma)
@@ -295,17 +289,8 @@ class StepEngine(_RankPatterns):
                 entry.update(anchors=anchors, first_pair=first,
                              before=np.cumsum(per_anchor) - per_anchor)
             entries.append(_Entry(**entry))
-            blocks.append(combos)
-            offset += len(combos)
+        super().__init__(code, spec, _stacked(blocks, code.n))
         self.entries = entries
-
-        width = max(b.shape[1] for b in blocks)
-        self.rank_index = np.full((offset, width), n, dtype=np.int32)
-        self.weights = np.zeros(offset, dtype=np.int8)
-        for e, b in zip(entries, blocks):
-            self.rank_index[e.offset:e.offset + len(b), :e.weight] = b
-            self.weights[e.offset:e.offset + len(b)] = e.weight
-        self.pattern_count = offset
 
         self.pair_bits = max(((math.comb(e.gamma, 2) - 1).bit_length()
                               for e in entries if e.weight >= 3), default=0)
@@ -368,12 +353,6 @@ class StepEngine(_RankPatterns):
         a = hits.argmax(axis=1)
         pair = got[np.arange(len(sig)), a] & ((1 << pb) - 1)
         return found, e.before[a] + pair - e.first_pair[a]
-
-    def decode_frame(self, perm: np.ndarray, columns: np.ndarray, target: int
-                     ) -> HitReport:
-        """One frame through the batched search; perm as in SoftEngine."""
-        pos = self.search(perm[None, :], columns, np.array([target], dtype=np.int32))
-        return self._report(perm, int(pos[0]))
 
 
 def build_engine(code: LinearCode, spec: DecoderSpec):

@@ -23,7 +23,6 @@ specification that table is tested against.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .decoder import ABANDONED, CLEAN, HIT, DecodeTrace
-from .patterns import StepSchedule
+from .patterns import StepSchedule, subset_table
 
 
 def combination_rank(values: Sequence[int], n_total: int) -> int:
@@ -125,8 +124,7 @@ class LatencyModel:
             if hw <= 2:
                 parts.append(np.full(math.comb(gamma, hw), hw, dtype=np.int64))
                 continue
-            anchors = itertools.combinations(range(gamma - 2), hw - 2)
-            tops = np.array([a[-1] for a in anchors], dtype=np.int64)
+            tops = subset_table(gamma - 2, hw - 2)[:, -1].astype(np.int64)
             completions = (gamma - 1 - tops) * (gamma - 2 - tops) // 2
             parts.append(np.repeat(bases[hw] + 1 + np.arange(tops.size), completions))
         parts.append(np.array([last], dtype=np.int64))

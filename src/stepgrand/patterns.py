@@ -13,11 +13,13 @@ position). Streams are lazy generators in a fixed, documented order:
 Lexicographic order on ascending tuples fixes the lowest rank first, which is
 also the order the composite-syndrome hardware sweep visits patterns, so the
 first stream hit and the first hardware hit coincide.
+`subset_table` is that order as one array, for the engine and step tables.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -116,14 +118,35 @@ def step_grand_teps(schedule: StepSchedule) -> Iterator[Tep]:
             yield Tep(combo)
 
 
+def subset_table(size: int, w: int) -> np.ndarray:
+    """Every w-subset of range(size) as an ascending row, in the order of
+    itertools.combinations: a (C(size, w), w) int32 array."""
+    table = np.zeros((1, 0), dtype=np.int32)
+    for k in range(w):
+        # the (k+1)-subsets led by a are a followed by each k-subset whose
+        # ranks all exceed a: the last C(size - 1 - a, k) rows of the k-table
+        counts = np.array([math.comb(size - 1 - a, k) for a in range(size)],
+                          dtype=np.int64)
+        rows = np.arange(counts.sum()) + np.repeat(len(table) - np.cumsum(counts), counts)
+        lead = np.repeat(np.arange(size, dtype=np.int32), counts)
+        table = np.column_stack([lead, table[rows]])
+    return table
+
+
+def grandab_count(n: int, max_weight: int) -> int:
+    """Length of grandab_teps(n, max_weight); raises what the stream raises."""
+    if not 0 <= max_weight <= n:
+        raise ValueError(f"max_weight must be in [0, {n}], got {max_weight}")
+    return sum(math.comb(n, w) for w in range(1, max_weight + 1))
+
+
 def grandab_teps(n: int, max_weight: int) -> Iterator[Tep]:
     """Weight-ordered patterns over all n positions, weights 1..max_weight.
 
     Hard-input search: ranks are plain 1-based channel positions. max_weight=0
     yields the empty stream (only the unmodified word is ever tested).
     """
-    if not 0 <= max_weight <= n:
-        raise ValueError(f"max_weight must be in [0, {n}], got {max_weight}")
+    grandab_count(n, max_weight)  # checks max_weight
     for w in range(1, max_weight + 1):
         for combo in itertools.combinations(range(1, n + 1), w):
             yield Tep(combo)
@@ -155,15 +178,42 @@ def distinct_partitions(total: int, n_parts: int, max_part: int) -> Iterator[tup
             yield sub + (big,)
 
 
-def orbgrand_teps(n: int, lw_max: int, p_max: int) -> Iterator[Tep]:
-    """Logistic-weight-ordered patterns: rank sums 1..lw_max ascending; within
-    a level, fewer parts first, then colex; at most p_max ranks per pattern."""
+def _orbgrand_bounds(n: int, lw_max: int | None, p_max: int | None
+                     ) -> tuple[int, int]:
+    """The checked bounds of an orbgrand stream; None leaves one unbounded."""
+    lw_max = max_logistic_weight(n) if lw_max is None else lw_max
+    # more than n distinct ranks in [1, n] is no pattern at all
+    p_max = n if p_max is None else min(p_max, n)
     if not 0 <= lw_max <= max_logistic_weight(n):
         raise ValueError(
             f"lw_max must be in [0, {max_logistic_weight(n)}], got {lw_max}"
         )
     if p_max < 1:
         raise ValueError(f"p_max must be >= 1, got {p_max}")
+    return lw_max, p_max
+
+
+def orbgrand_count(n: int, lw_max: int | None, p_max: int | None) -> int:
+    """Length of orbgrand_teps(n, lw_max, p_max) without walking the stream,
+    and the same ValueError: the sets of at most p_max distinct ranks in
+    [1, n] whose sum is at most lw_max, exact at any size."""
+    lw_max, p = _orbgrand_bounds(n, lw_max, p_max)
+    if lw_max >= p * n - p * (p - 1) // 2:
+        # even the p largest ranks fit the bound, so every set of <= p does
+        return sum(math.comb(n, k) for k in range(1, p + 1))
+    # ways[k, s]: sets of k distinct ranks among 1..r with rank sum s
+    ways = np.zeros((p + 1, lw_max + 1), dtype=object)
+    ways[0, 0] = 1
+    for r in range(1, min(n, lw_max) + 1):
+        ways[1:, r:] = ways[1:, r:] + ways[:-1, :-r]
+    return int(ways[1:].sum())
+
+
+def orbgrand_teps(n: int, lw_max: int | None, p_max: int | None) -> Iterator[Tep]:
+    """Logistic-weight-ordered patterns: rank sums 1..lw_max ascending; within
+    a level, fewer parts first, then colex; at most p_max ranks per pattern.
+    None leaves either bound open."""
+    lw_max, p_max = _orbgrand_bounds(n, lw_max, p_max)
     for lw in range(1, lw_max + 1):
         for parts in range(1, p_max + 1):
             for combo in distinct_partitions(lw, parts, n):

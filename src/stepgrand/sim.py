@@ -41,14 +41,14 @@ import numpy as np
 
 from .channel import ChannelConfig, quantize, transmit
 from .codes import LinearCode
-from .decoder import DecoderSpec, GrandabSpec, StepGrandSpec
+from .decoder import DecoderSpec, StepGrandSpec
 from .fastpath import build_engine, packed_parity_columns
 from .hwmodel import LatencyModel
 
 CHUNK_FRAMES = 1024
 _MASK64 = (1 << 64) - 1
-# grandab and stepgrand engines hold every pattern of their stream in
-# tables; above this many patterns a config is refused before any is built
+# every engine holds its whole pattern stream in a table; above this many
+# patterns a config is refused before any table is built
 MAX_TABLE_PATTERNS = 1 << 25
 
 
@@ -79,14 +79,13 @@ class SweepConfig:
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         for spec in self.variants:
-            # orbgrand is not checked: its count enumerates the whole stream
-            if isinstance(spec, (GrandabSpec, StepGrandSpec)):
-                count = spec.pattern_count(self.code.n)
-                if count > MAX_TABLE_PATTERNS:
-                    raise ValueError(
-                        f"{spec.label} has {count} patterns at n={self.code.n},"
-                        f" above the table limit of {MAX_TABLE_PATTERNS}"
-                    )
+            # also raises each spec's own out-of-range parameter error
+            count = spec.pattern_count(self.code.n)
+            if count > MAX_TABLE_PATTERNS:
+                raise ValueError(
+                    f"{spec.label} has {count} patterns at n={self.code.n},"
+                    f" above the table limit of {MAX_TABLE_PATTERNS}"
+                )
 
 
 @dataclass(frozen=True)
@@ -175,16 +174,14 @@ def _init_worker(code: LinearCode, variants: tuple[DecoderSpec, ...],
                  quantize_flag: bool) -> None:
     n, k = code.n, code.k
     g32 = code.generator.to_array().astype(np.float32)
-    h_t32 = code.parity_check.to_array().T.astype(np.float32)
     g_inv32 = code.generator_right_inverse.to_array().astype(np.float32)
     cols = packed_parity_columns(code)
     engines = [build_engine(code, spec) for spec in variants]
     models = [_latency_model(spec, n) for spec in variants]
     _STATE.clear()
     _STATE.update(
-        engines=engines, models=models, g32=g32, h_t32=h_t32, g_inv32=g_inv32,
+        engines=engines, models=models, g32=g32, g_inv32=g_inv32,
         cols=cols, n=n, k=k, sorting=any(spec.uses_sorting for spec in variants),
-        bit_place=(1 << np.arange(n - k, dtype=np.int64)),
         quantize=quantize_flag,
     )
 
@@ -214,8 +211,7 @@ def _run_chunk(point_index: int, chunk_index: int, ebn0_db: float,
     hard = (llr < 0).astype(np.uint8)
     e_true = (hard ^ cw.astype(np.uint8)).astype(bool)
 
-    syn_bits = ((hard.astype(np.float32) @ _STATE["h_t32"]) % 2).astype(np.int64)
-    s_int = (syn_bits @ _STATE["bit_place"]).astype(np.int32)
+    s_int = np.bitwise_xor.reduce(_STATE["cols"] * hard, axis=1)
     nonclean = np.flatnonzero(s_int != 0)
     targets = s_int[nonclean]
     e_nonclean = e_true[nonclean]
@@ -257,31 +253,25 @@ def _run_chunk(point_index: int, chunk_index: int, ebn0_db: float,
 # Point and sweep drivers
 
 
-def _chunk_plan(max_frames: int) -> list[int]:
-    """Frame count of each chunk, honoring the cap exactly."""
-    chunks = []
-    remaining = max_frames
-    while remaining > 0:
-        take = min(CHUNK_FRAMES, remaining)
-        chunks.append(take)
-        remaining -= take
-    return chunks
-
-
 def _results_in_order(cfg: SweepConfig, point_index: int, ebn0: float,
-                      plan: Sequence[int], executor) -> Iterator[tuple]:
+                      executor) -> Iterator[tuple]:
+    chunks = -(-cfg.max_frames // CHUNK_FRAMES)
+
+    def args(ci: int) -> tuple:
+        # the last chunk takes what remains of the frame cap
+        frames_used = min(CHUNK_FRAMES, cfg.max_frames - ci * CHUNK_FRAMES)
+        return point_index, ci, ebn0, frames_used, cfg.seed
+
     if executor is None:
-        for ci, frames_used in enumerate(plan):
-            yield _run_chunk(point_index, ci, ebn0, frames_used, cfg.seed)
+        for ci in range(chunks):
+            yield _run_chunk(*args(ci))
         return
     window = _pool_size(cfg) * 2
     futures: dict[int, object] = {}
     submitted = 0
-    for ci in range(len(plan)):
-        while submitted < min(len(plan), ci + window):
-            futures[submitted] = executor.submit(
-                _run_chunk, point_index, submitted, ebn0, plan[submitted], cfg.seed
-            )
+    for ci in range(chunks):
+        while submitted < min(chunks, ci + window):
+            futures[submitted] = executor.submit(_run_chunk, *args(submitted))
             submitted += 1
         yield futures.pop(ci).result()
 
@@ -295,7 +285,7 @@ def _simulate_point(cfg: SweepConfig, point_index: int, ebn0: float,
     frames = 0
     capped = True
     for frames_used, chunk_sums, chunk_peaks, chunk_discord in _results_in_order(
-        cfg, point_index, ebn0, _chunk_plan(cfg.max_frames), executor
+        cfg, point_index, ebn0, executor
     ):
         frames += frames_used
         sums += chunk_sums

@@ -113,6 +113,10 @@ class TestMainCommand:
         (["--code", "capolar128", "--decoder", "grandab", "--ab", "5",
           "--ebn0", "4"], "grandab(ab=5) has 275584032 patterns at n=128,"
          " above the table limit of 33554432"),
+        (["--code", "capolar128", "--compare", "orbgrand(lw=9000,p=2);grandab(ab=1)",
+          "--workers", "2", "--ebn0", "4"], "lw_max must be in [0, 8256], got 9000"),
+        (["--code", "bch127", "--decoder", "grandab", "--ab", "-1", "--ebn0", "4"],
+         "max_weight must be in [0, 127], got -1"),
     ])
     def test_config_errors_exit_nonzero(self, argv, fragment, capsys):
         rc = main(argv)

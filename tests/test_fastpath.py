@@ -58,6 +58,31 @@ class TestHardEngine:
         assert got == expected
         assert engine.pattern_count == spec.pattern_count(code.n)
 
+    @pytest.mark.parametrize("ab", [0, 1, 3])
+    def test_rank_table_is_the_grandab_stream(self, ab):
+        code = build_bch(4, 2)
+        spec = GrandabSpec(max_weight=ab)
+        engine = HardEngine(code, spec)
+        stream = [tep.ranks for tep in spec.teps(code.n)]
+        assert engine.pattern_count == len(stream)
+        assert [engine.hit_ranks(row) for row in range(len(stream))] == stream
+        assert engine.weights.tolist() == [len(r) for r in stream]
+        assert (engine.rank_index[engine.weights == 1, 1:] == code.n).all()
+        for w, table in enumerate(engine.weight_tables, start=1):
+            assert np.shares_memory(table["positions"], engine.rank_index)
+            assert table["positions"].shape[1] == w
+
+    def test_flip_mask_ignores_perms(self):
+        code = build_bch(4, 2)
+        engine = HardEngine(code, GrandabSpec(max_weight=2))
+        pos = np.array([-1, 0, 14, 15, engine.pattern_count - 1])
+        perms = np.random.default_rng(3).permuted(
+            np.tile(np.arange(code.n), (len(pos), 1)), axis=1)
+        mask = engine.flip_mask(perms, pos)
+        assert (mask == engine.flip_mask(None, pos)).all()
+        assert [tuple(np.flatnonzero(row)) for row in mask] == [
+            (), (0,), (14,), (0, 1), (13, 14)]
+
     def test_first_match_in_stream_order_wins(self):
         # craft two patterns with identical syndromes and check the earlier
         # stream index is reported

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from stepgrand.channel import SoftVector
+from stepgrand.decoder import OrbgrandSpec
 from stepgrand.patterns import (
     SortedReliability,
     StepSchedule,
@@ -21,6 +22,7 @@ from stepgrand.patterns import (
     orbgrand_teps,
     sort_reliability,
     step_grand_teps,
+    subset_table,
 )
 
 
@@ -107,6 +109,15 @@ def test_step_stream_order_and_bounds():
         assert per_entry[hw] == expected  # lexicographic within an entry
 
 
+@pytest.mark.parametrize("size", range(9))
+def test_subset_table_matches_combinations(size):
+    for w in range(size + 2):
+        combos = list(itertools.combinations(range(size), w))
+        table = subset_table(size, w)
+        assert table.dtype == np.int32 and table.shape == (len(combos), w)
+        assert [tuple(row) for row in table.tolist()] == combos
+
+
 def test_grandab_small_and_empty():
     got = [t.ranks for t in grandab_teps(4, 2)]
     assert got == [
@@ -178,6 +189,23 @@ def test_orbgrand_stream_properties():
         for w in range(1, 7):
             brute += sum(1 for _ in distinct_partitions(lw, w, 128))
     assert count == brute
+
+
+ORBGRAND_COUNT_CASES = [
+    (n, lw, p)
+    # at n=8, lw 36 and 21 are the largest rank sums of 8 and 3 ranks, so
+    # lw 35 and 20 each miss exactly one set
+    for n, lws in ((3, (None, 6, 4, 0)), (6, (None, 21, 9)),
+                   (8, (None, 36, 35, 21, 20, 12)), (16, (None, 136, 20)), (128, (40,)))
+    for lw in lws
+    for p in (None, n, 3, 1)
+] + [(128, 64, 6)]
+
+
+@pytest.mark.parametrize("n, lw, p", ORBGRAND_COUNT_CASES)
+def test_orbgrand_count_equals_stream_length(n, lw, p):
+    spec = OrbgrandSpec(lw_max=lw, p_max=p)
+    assert spec.pattern_count(n) == sum(1 for _ in spec.teps(n))
 
 
 def test_orbgrand_part_cap_small_n():

@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import re
 
 import numpy as np
 import pytest
@@ -254,19 +255,28 @@ class TestConfigValidation:
         code = identity_code(128)
         SweepConfig(code=code, variants=(GrandabSpec(4),), ebn0_db=(1.0,))
         for spec, count in ((GrandabSpec(5), 275_584_032),
-                            (StepGrandSpec(1, 12, 10), 171_330_665)):
+                            (StepGrandSpec(1, 12, 10), 171_330_665),
+                            (OrbgrandSpec(), 2**128 - 1)):
             limit = sim.MAX_TABLE_PATTERNS
             with pytest.raises(ValueError, match=f"{count} patterns .* limit of {limit}"):
                 SweepConfig(code=code, variants=(GrandabSpec(1), spec),
                             ebn0_db=(1.0,))
 
-    def test_orbgrand_stream_is_not_enumerated(self, monkeypatch):
-        def enumerate_stream(spec, n):
-            raise AssertionError("orbgrand pattern_count called")
+    def test_orbgrand_limit_check_does_not_walk_the_stream(self, monkeypatch):
+        def walk_stream(spec, n):
+            raise AssertionError("orbgrand stream walked")
 
-        monkeypatch.setattr(OrbgrandSpec, "pattern_count", enumerate_stream)
+        monkeypatch.setattr(OrbgrandSpec, "teps", walk_stream)
         SweepConfig(code=identity_code(128), variants=(OrbgrandSpec(64, 6),),
                     ebn0_db=(1.0,))
+
+    @pytest.mark.parametrize("code, spec, fragment", [
+        (identity_code(128), OrbgrandSpec(lw_max=10, p_max=0), "p_max must be >= 1"),
+        (build_bch(4, 2), GrandabSpec(16), "max_weight must be in [0, 15], got 16"),
+    ])
+    def test_out_of_range_parameters_fail_at_config_time(self, code, spec, fragment):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            SweepConfig(code=code, variants=(GrandabSpec(1), spec), ebn0_db=(1.0,))
 
 
 class TestStatisticsHelpers:
