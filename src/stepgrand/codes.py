@@ -301,16 +301,6 @@ def polarization_weight_order(n: int) -> tuple[int, ...]:
     return tuple(int(i) for i in np.argsort(weights, kind="stable"))
 
 
-def load_reliability_sequence(path: str | Path) -> tuple[int, ...]:
-    """Read a reliability ordering (0-based positions, least reliable first)
-    from a whitespace/comment text file."""
-    values = []
-    for line in Path(path).read_text().splitlines():
-        line = line.split("#", 1)[0]
-        values.extend(int(tok) for tok in line.split())
-    return tuple(values)
-
-
 def polar_transform_rows(rows: np.ndarray) -> np.ndarray:
     """Apply the n x n butterfly transform to each row of a 0/1 matrix."""
     out = np.array(rows, dtype=np.uint8, copy=True) & 1

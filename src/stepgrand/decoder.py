@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .channel import SoftVector, harden
 from .codes import LinearCode
 from .gf2 import BitWord, mat_vec
@@ -26,11 +28,14 @@ from .patterns import (
     Tep,
     build_step_schedule,
     grandab_count,
+    grandab_table,
     grandab_teps,
     map_ranks,
     orbgrand_count,
+    orbgrand_table,
     orbgrand_teps,
     sort_reliability,
+    step_grand_table,
     step_grand_teps,
 )
 
@@ -181,6 +186,9 @@ class GrandabSpec:
     def teps(self, n: int) -> Iterable[Tep]:
         return grandab_teps(n, self.max_weight)
 
+    def rank_table(self, n: int) -> np.ndarray:
+        return grandab_table(n, self.max_weight)
+
     def pattern_count(self, n: int) -> int:
         return grandab_count(n, self.max_weight)
 
@@ -203,6 +211,9 @@ class OrbgrandSpec:
 
     def teps(self, n: int) -> Iterable[Tep]:
         return orbgrand_teps(n, self.lw_max, self.p_max)
+
+    def rank_table(self, n: int) -> np.ndarray:
+        return orbgrand_table(n, self.lw_max, self.p_max)
 
     def pattern_count(self, n: int) -> int:
         return orbgrand_count(n, self.lw_max, self.p_max)
@@ -228,6 +239,9 @@ class StepGrandSpec:
 
     def teps(self, n: int) -> Iterable[Tep]:
         return step_grand_teps(self.schedule(n))
+
+    def rank_table(self, n: int) -> np.ndarray:
+        return step_grand_table(self.schedule(n), n)
 
     def pattern_count(self, n: int | None = None) -> int:
         return sum(

@@ -23,13 +23,15 @@ weight class.
 
 Soft-input engines depend on the per-frame reliability permutation.
 SoftEngine serves any stream (orbgrand, and the stepped schedule as a
-reference): per frame it gathers per-pattern column syndromes and
-XOR-reduces them in growing blocks, stopping at the first block with a
-match. StepEngine searches the stepped schedule the way the composite-
-syndrome hardware of `hwmodel` does, batched over all frames of a chunk:
-weights 1 and 2 are direct compares, and each higher weight is a sweep of
-anchors (the pattern's lowest ranks, all but two) completed by one lookup
-in a sorted bank of two-flip syndromes.
+reference) by prefix recursion: a pattern minus its top rank is an earlier
+pattern, its parent, so a pattern's syndrome is its parent's XOR one column.
+Frames go through in slices, stream rows in tiles, and within a tile rows
+are taken by weight so parents come before their children; only rows that
+are some row's parent keep their syndrome. StepEngine searches the stepped
+schedule the way the composite-syndrome hardware of `hwmodel` does, batched
+over all frames of a chunk: weights 1 and 2 are direct compares, and each
+higher weight is a sweep of anchors (the pattern's lowest ranks, all but
+two) completed by one lookup in a sorted bank of two-flip syndromes.
 """
 
 from __future__ import annotations
@@ -63,14 +65,6 @@ class HitReport:
     positions: tuple[int, ...]
 
 
-def _stacked(blocks: list[np.ndarray], n: int) -> np.ndarray:
-    """Blocks of 0-based rank rows as one table, each row padded with n."""
-    width = max((b.shape[1] for b in blocks), default=1)
-    padded = [np.pad(b, ((0, 0), (0, width - b.shape[1])), constant_values=n)
-              for b in blocks]
-    return np.concatenate([np.empty((0, width), dtype=np.int32), *padded])
-
-
 class _RankPatterns:
     """An engine's pattern stream as a table of reliability ranks.
 
@@ -78,13 +72,13 @@ class _RankPatterns:
     position row, ascending and padded with n; weights[row] is its flip
     count. A spec that sorts by reliability maps ranks to bit positions
     through each frame's perm; otherwise a rank is the bit position itself.
-    Subclasses supply `search`.
+    The table is the spec's `rank_table`; subclasses supply `search`.
     """
 
-    def __init__(self, code: LinearCode, spec: DecoderSpec, rank_index: np.ndarray):
+    def __init__(self, code: LinearCode, spec: DecoderSpec):
         self.code = code
         self.spec = spec
-        self.rank_index = rank_index
+        self.rank_index = rank_index = spec.rank_table(code.n)
         self.weights = (rank_index < code.n).sum(axis=1, dtype=np.int8)
         self.pattern_count = len(rank_index)
 
@@ -108,34 +102,31 @@ class _RankPatterns:
         mask[np.arange(m)[:, None], ranks] = True
         return mask[:, :n]
 
-    def _report(self, perm, stream_position: int) -> HitReport:
-        """flip_mask's mapping for one frame, without a mask to build on
-        every call of the per-frame soft search."""
-        if stream_position < 0:
-            return HitReport(-1, ())
-        ranks = self.rank_index[stream_position, :self.weights[stream_position]]
-        positions = perm[ranks] if self.spec.uses_sorting else ranks
-        return HitReport(stream_position, tuple(sorted(positions.tolist())))
+    def _reports(self, perms, stream_position: np.ndarray) -> list[HitReport]:
+        """flip_mask's bits of each frame as a HitReport."""
+        mask = self.flip_mask(perms, stream_position)
+        return [HitReport(int(p), tuple(np.flatnonzero(row).tolist()))
+                for p, row in zip(stream_position, mask)]
 
     def decode_frame(self, perm: np.ndarray, columns: np.ndarray, target: int
                      ) -> HitReport:
         """One frame through `search`; perm maps rank-1 (index 0) to the bit
         position holding that rank."""
-        pos = self.search(perm[None, :], columns, np.array([target], dtype=np.int32))
-        return self._report(perm, int(pos[0]))
+        perms = perm[None, :]
+        pos = self.search(perms, columns, np.array([target], dtype=np.int32))
+        return self._reports(perms, pos)[0]
 
 
 class HardEngine(_RankPatterns):
     """Weight-ordered hard-input sweep with per-weight syndrome tables."""
 
     def __init__(self, code: LinearCode, spec: GrandabSpec):
-        blocks = [subset_table(code.n, w) for w in range(1, spec.max_weight + 1)]
-        super().__init__(code, spec, _stacked(blocks, code.n))
+        super().__init__(code, spec)
         cols = packed_parity_columns(code)
         self.weight_tables = []
         offset = 0
-        for w, block in enumerate(blocks, start=1):
-            positions = self.rank_index[offset:offset + len(block), :w]
+        for w in range(1, spec.max_weight + 1):
+            positions = self.rank_index[offset:offset + math.comb(code.n, w), :w]
             syn = np.bitwise_xor.reduce(cols[positions], axis=1)
             order = np.argsort(syn, kind="stable")
             self.weight_tables.append(
@@ -146,7 +137,7 @@ class HardEngine(_RankPatterns):
                     "offset": offset,
                 }
             )
-            offset += len(block)
+            offset += len(positions)
 
     def search(self, perms, columns, targets: np.ndarray) -> np.ndarray:
         """Stream position of the first match per nonzero frame syndrome,
@@ -167,63 +158,140 @@ class HardEngine(_RankPatterns):
 
     def decode_frames(self, syndromes: np.ndarray) -> list[HitReport]:
         """Resolve a batch of nonzero frame syndromes in stream order."""
-        return [self._report(None, int(p)) for p in self.search(None, None, syndromes)]
+        return self._reports(None, self.search(None, None, syndromes))
 
 
-class SoftEngine(_RankPatterns):
-    """Rank-pattern sweep against a per-frame reliability permutation."""
+class _SlicedSearch(_RankPatterns):
+    """A soft-input engine that searches frames in slices of slice_frames,
+    to keep the working set small. Subclasses supply
+    `_search_slice(sigma, targets, pos)`, which fills pos (a view) for one
+    slice; sigma[f, r] is the syndrome of a lone flip at frame f's rank r.
+    """
 
-    # block boundaries grow geometrically so early hits stay cheap while a
-    # full scan costs only a few large vector passes
-    first_block = 1024
-    growth = 4
-
-    def __init__(self, code: LinearCode, spec: DecoderSpec):
-        n = code.n
-        ranks = [tep.ranks for tep in spec.teps(n)]
-        width = max(map(len, ranks), default=1)
-        # 1-based ranks padded with n + 1, so one subtraction gives the table
-        table = np.array([r + (n + 1,) * (width - len(r)) for r in ranks],
-                         dtype=np.int32).reshape(-1, width) - 1
-        super().__init__(code, spec, table)
-        edges = [0]
-        b = self.first_block
-        while edges[-1] < self.pattern_count:
-            edges.append(min(edges[-1] + b, self.pattern_count))
-            b *= self.growth
-        self.block_edges = edges
-
-    def scan(self, rank_syndromes: np.ndarray, target: int) -> int:
-        """First stream position whose pattern syndrome equals target, else -1.
-
-        rank_syndromes holds the frame's single-flip syndrome per reliability
-        rank (0-based), with one extra 0 entry at index n for the pad slots.
-        """
-        for lo, hi in zip(self.block_edges, self.block_edges[1:]):
-            gathered = rank_syndromes[self.rank_index[lo:hi]]
-            syn = np.bitwise_xor.reduce(gathered, axis=1)
-            eq = syn == target
-            j = int(np.argmax(eq))
-            if eq[j]:
-                return lo + j
-        return -1
-
-    def decode_frame(self, perm: np.ndarray, columns: np.ndarray, target: int
-                     ) -> HitReport:
-        """perm maps rank-1 (index 0) to the bit position holding that rank."""
-        sigma = np.append(columns[perm], np.int32(0))
-        return self._report(perm, self.scan(sigma, target))
+    slice_frames = 64
 
     def search(self, perms: np.ndarray, columns: np.ndarray, targets: np.ndarray
                ) -> np.ndarray:
-        """Stream position of the first match per frame (-1 when abandoned),
-        one decode_frame call per frame: bench/layers.py times those calls
-        as the search layer."""
-        return np.array([self.decode_frame(perm, columns, int(t)).stream_position
-                         for perm, t in zip(perms, targets)], dtype=np.int64)
+        """Stream position of the first match per frame, -1 when abandoned.
+
+        perms is (m, n): row i maps rank-1 (index 0) to the bit position
+        holding that rank in frame i; targets are the m nonzero syndromes.
+        """
+        m = len(targets)
+        pos = np.full(m, -1, dtype=np.int64)
+        for lo in range(0, m, self.slice_frames):
+            hi = min(lo + self.slice_frames, m)
+            self._search_slice(columns[perms[lo:hi]], targets[lo:hi], pos[lo:hi])
+        return pos
+
+
+def _prefix_parents(table: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Row of each pattern's prefix (its ranks but the top one), -1 for a
+    single flip; a ValueError if some prefix is not in the table.
+
+    Resolved one prefix length at a time: a row is keyed by the row of its
+    shorter prefix times (n + 1) plus its next rank, and the keys of the
+    rows of that length are looked up by binary search.
+    """
+    parent = np.full(len(table), -1, dtype=np.int64)
+    prefix = parent.copy()  # row of each row's first j ranks
+    for j in range(table.shape[1]):
+        longer = np.flatnonzero(weights > j)
+        if longer.size == 0:
+            break
+        keys = (prefix[longer] + 1) * (n + 1) + table[longer, j]
+        ends = weights[longer] == j + 1
+        parent[longer[ends]] = prefix[longer[ends]]
+        order = np.argsort(keys[ends])
+        own, own_keys = longer[ends][order], keys[ends][order]
+        at = np.searchsorted(own_keys, keys)
+        if (at == len(own)).any() or (own_keys[at] != keys).any():
+            raise ValueError(f"stream lacks the {j + 1}-rank prefix of some pattern")
+        prefix[longer] = own[at]
+    return parent
+
+
+class SoftEngine(_SlicedSearch):
+    """Rank-pattern search of any prefix-closed stream by prefix recursion,
+    batched over frames.
+
+    syn[row] = syn[parent[row]] ^ sigma[top[row]], where sigma[r] is a
+    frame's single-flip syndrome at rank r, so each pattern costs one XOR
+    per frame. Frames go through in slices of slice_frames with a (rows x
+    frames) int32 layout; stream rows in tiles of tile_rows, whose edges
+    are block_edges. Within a tile rows go by weight, so a parent is done
+    before its children; only rows that are some row's parent keep their
+    syndrome. After each tile the first hit of each frame is its stream
+    position, and resolved frames are dropped.
+
+    A stream without the prefix property (a pattern whose parent is missing
+    or comes after it) raises a ValueError at construction.
+    """
+
+    tile_rows = 4096
+
+    def __init__(self, code: LinearCode, spec: DecoderSpec):
+        super().__init__(code, spec)
+        count = self.pattern_count
+        rows = np.arange(count)
+        parent = _prefix_parents(self.rank_index, self.weights, code.n)
+        if (parent >= rows).any():
+            raise ValueError("stream has a pattern before its prefix")
+        # slot 0 holds the empty pattern's syndrome, 0, and slot[-1] (the
+        # slot of parent -1) points there; each parent row has a slot of its own
+        is_parent = np.zeros(count + 1, dtype=bool)
+        is_parent[parent] = True
+        keepers = np.flatnonzero(is_parent[:count])
+        slot = np.zeros(count + 1, dtype=np.int64)
+        slot[keepers] = np.arange(1, len(keepers) + 1)
+        self.slots = len(keepers) + 1
+        top = self.rank_index[rows, self.weights - 1]
+        self.block_edges = [*range(0, count, self.tile_rows), count]
+        # per tile, its weight groups: (rows, parent slots, top ranks, the
+        # group's keeper indexes and their slots)
+        self.tiles = []
+        for lo, hi in zip(self.block_edges, self.block_edges[1:]):
+            groups = []
+            w = self.weights[lo:hi]
+            for g in range(1, w.max() + 1):
+                r = lo + np.flatnonzero(w == g)
+                kept = np.flatnonzero(slot[r])
+                groups.append((r, slot[parent[r]], top[r], kept, slot[r[kept]]))
+            self.tiles.append(groups)
+
+    def _search_slice(self, sigma, targets, pos) -> None:
+        frames = np.arange(len(targets))
+        live = np.ones(len(frames), dtype=bool)
+        sigma = np.ascontiguousarray(sigma.T)  # (ranks x frames), like syn
+        syn = np.zeros((self.slots, len(frames)), dtype=np.int32)
+        for groups in self.tiles:
+            f = len(frames)
+            first = np.full(f, self.pattern_count)
+            for r, parent_slot, top, kept, kept_slot in groups:
+                group_syn = np.take(syn, parent_slot, axis=0)
+                group_syn ^= np.take(sigma, top, axis=0)
+                syn[kept_slot] = group_syn[kept]
+                hit = np.flatnonzero(group_syn == targets)
+                if hit.size:
+                    np.minimum.at(first, hit % f, r[hit // f])
+            found = live & (first < self.pattern_count)
+            if not found.any():
+                continue
+            pos[frames[found]] = first[found]
+            live &= ~found
+            left = np.count_nonzero(live)
+            if left == 0:
+                return
+            if left <= 3 * f // 4:
+                # drop resolved frames once a quarter of them are; compress
+                # keeps the rows C-ordered for the row gathers
+                frames, targets = frames[live], targets[live]
+                syn, sigma = (np.compress(live, a, axis=1) for a in (syn, sigma))
+                live = live[live]
 
     # bound in SoftEngine's own namespace: bench/layers.py patches the
     # engine's methods by class attribute
+    decode_frame = _RankPatterns.decode_frame
     hit_ranks = _RankPatterns.hit_ranks
 
 
@@ -250,7 +318,7 @@ class _Entry:
     before: np.ndarray | None = None
 
 
-class StepEngine(_RankPatterns):
+class StepEngine(_SlicedSearch):
     """Anchor x pair-bank search of the stepped schedule, batched over frames.
 
     Mirrors the composite-syndrome hardware of `hwmodel`. Entries are tried
@@ -263,19 +331,17 @@ class StepEngine(_RankPatterns):
     valid pair index) finds the lexicographically first completion. The frame's
     first anchor with a hit gives the first match of the stream.
 
-    Frames go through in slices of slice_frames to keep the working set
-    small; the frame index within a slice is the key's top field.
+    The frame index within a slice is the key's top field.
     """
 
-    slice_frames = 64
-
     def __init__(self, code: LinearCode, spec: StepGrandSpec):
+        super().__init__(code, spec)
         parity_bits = code.n - code.k
         entries = []
-        blocks = []
+        offset = 0
         for gamma, w in spec.schedule(code.n).entries:
-            entry = dict(gamma=gamma, weight=w, offset=sum(map(len, blocks)))
-            blocks.append(subset_table(gamma, w))
+            entry = dict(gamma=gamma, weight=w, offset=offset)
+            offset += math.comb(gamma, w)
             if w >= 2:
                 pairs = subset_table(gamma, 2)
                 entry.update(pair_i=pairs[:, 0], pair_j=pairs[:, 1])
@@ -289,7 +355,6 @@ class StepEngine(_RankPatterns):
                 entry.update(anchors=anchors, first_pair=first,
                              before=np.cumsum(per_anchor) - per_anchor)
             entries.append(_Entry(**entry))
-        super().__init__(code, spec, _stacked(blocks, code.n))
         self.entries = entries
 
         self.pair_bits = max(((math.comb(e.gamma, 2) - 1).bit_length()
@@ -302,23 +367,7 @@ class StepEngine(_RankPatterns):
                 f" + {self.pair_bits} pair-index bits, more than 63"
             )
 
-    def search(self, perms: np.ndarray, columns: np.ndarray, targets: np.ndarray
-               ) -> np.ndarray:
-        """Stream position of the first match per frame, -1 when abandoned.
-
-        perms is (m, n): row i maps rank-1 (index 0) to the bit position
-        holding that rank in frame i; targets are the m nonzero syndromes.
-        """
-        m = len(targets)
-        pos = np.full(m, -1, dtype=np.int64)
-        for lo in range(0, m, self.slice_frames):
-            hi = min(lo + self.slice_frames, m)
-            self._search_slice(columns[perms[lo:hi]], targets[lo:hi], pos[lo:hi])
-        return pos
-
     def _search_slice(self, sigma, targets, pos) -> None:
-        """Fill pos (a view) for one slice; sigma[f, r] is the syndrome of a
-        lone flip at frame f's rank r."""
         frames = np.arange(len(sigma))
         for e in self.entries:
             if frames.size == 0:

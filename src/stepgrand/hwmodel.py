@@ -95,13 +95,6 @@ class LatencyModel:
                 return gamma
         raise ValueError(f"schedule has no weight-{weight} entry")
 
-    def composite_steps(self, weight: int) -> int:
-        """Time steps a full sweep of the given flip count takes."""
-        if weight < 3:
-            raise ValueError("composite syndromes start at three flips")
-        gamma = self._subset_size(weight)
-        return math.comb(gamma - 2, weight - 2)
-
     @cached_property
     def _anchor_steps(self) -> tuple[dict[int, int], int]:
         return anchor_steps(self.schedule)

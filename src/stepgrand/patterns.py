@@ -14,6 +14,11 @@ Lexicographic order on ascending tuples fixes the lowest rank first, which is
 also the order the composite-syndrome hardware sweep visits patterns, so the
 first stream hit and the first hardware hit coincide.
 `subset_table` is that order as one array, for the engine and step tables.
+
+Each stream also has a table form for the engines, built in numpy without
+walking the generator: `grandab_table`, `step_grand_table` and
+`orbgrand_table` hold one row of 0-based ranks per stream position, padded
+with n. In every stream a pattern minus its top rank is an earlier pattern.
 """
 
 from __future__ import annotations
@@ -133,6 +138,20 @@ def subset_table(size: int, w: int) -> np.ndarray:
     return table
 
 
+def padded_table(blocks: list[np.ndarray], n: int) -> np.ndarray:
+    """Blocks of 0-based rank rows as one int32 table, each row padded with
+    n to the widest block (at least one column)."""
+    width = max((b.shape[1] for b in blocks), default=1)
+    padded = [np.pad(b, ((0, 0), (0, width - b.shape[1])), constant_values=n)
+              for b in blocks]
+    return np.concatenate([np.empty((0, width), dtype=np.int32), *padded])
+
+
+def step_grand_table(schedule: StepSchedule, n: int) -> np.ndarray:
+    """step_grand_teps(schedule) as a table of 0-based ranks padded with n."""
+    return padded_table([subset_table(gamma, hw) for gamma, hw in schedule.entries], n)
+
+
 def grandab_count(n: int, max_weight: int) -> int:
     """Length of grandab_teps(n, max_weight); raises what the stream raises."""
     if not 0 <= max_weight <= n:
@@ -150,6 +169,12 @@ def grandab_teps(n: int, max_weight: int) -> Iterator[Tep]:
     for w in range(1, max_weight + 1):
         for combo in itertools.combinations(range(1, n + 1), w):
             yield Tep(combo)
+
+
+def grandab_table(n: int, max_weight: int) -> np.ndarray:
+    """grandab_teps(n, max_weight) as a table of 0-based ranks padded with n."""
+    grandab_count(n, max_weight)  # checks max_weight
+    return padded_table([subset_table(n, w) for w in range(1, max_weight + 1)], n)
 
 
 def max_logistic_weight(n: int) -> int:
@@ -198,11 +223,16 @@ def orbgrand_count(n: int, lw_max: int | None, p_max: int | None) -> int:
     and the same ValueError: the sets of at most p_max distinct ranks in
     [1, n] whose sum is at most lw_max, exact at any size."""
     lw_max, p = _orbgrand_bounds(n, lw_max, p_max)
+    # k distinct ranks sum to at least k(k+1)/2, so larger sets never fit
+    p = min(p, (math.isqrt(8 * lw_max + 1) - 1) // 2)
+    sizes = [math.comb(n, k) for k in range(1, p + 1)]
     if lw_max >= p * n - p * (p - 1) // 2:
         # even the p largest ranks fit the bound, so every set of <= p does
-        return sum(math.comb(n, k) for k in range(1, p + 1))
-    # ways[k, s]: sets of k distinct ranks among 1..r with rank sum s
-    ways = np.zeros((p + 1, lw_max + 1), dtype=object)
+        return sum(sizes)
+    # ways[k, s]: sets of k distinct ranks among 1..r with rank sum s; no
+    # entry, nor their total, exceeds sum(sizes)
+    dtype = np.int64 if sum(sizes) < 1 << 63 else object
+    ways = np.zeros((p + 1, lw_max + 1), dtype=dtype)
     ways[0, 0] = 1
     for r in range(1, min(n, lw_max) + 1):
         ways[1:, r:] = ways[1:, r:] + ways[:-1, :-r]
@@ -218,6 +248,36 @@ def orbgrand_teps(n: int, lw_max: int | None, p_max: int | None) -> Iterator[Tep
         for parts in range(1, p_max + 1):
             for combo in distinct_partitions(lw, parts, n):
                 yield Tep(combo)
+
+
+def orbgrand_table(n: int, lw_max: int | None, p_max: int | None) -> np.ndarray:
+    """orbgrand_teps(n, lw_max, p_max) as a table of 0-based ranks padded
+    with n: every set within the bounds, then sorted into stream order."""
+    lw_max, p_max = _orbgrand_bounds(n, lw_max, p_max)
+    # the k-sets as rows of 0-based ranks with their rank sums; each (k+1)-set
+    # is a k-set extended by a higher rank that keeps the sum within lw_max
+    sets = np.zeros((1, 0), dtype=np.int32)
+    sums = np.zeros(1, dtype=np.int64)
+    blocks, block_sums = [], [sums[:0]]
+    for k in range(p_max):
+        lo = sets[:, -1].astype(np.int64) + 1 if k else np.zeros(1, dtype=np.int64)
+        # 0-based rank r adds r + 1 to the sum
+        counts = np.maximum(np.minimum(n, lw_max - sums) - lo, 0)
+        if not counts.any():
+            break
+        rows = np.repeat(np.arange(len(sets)), counts)
+        start = np.repeat(np.cumsum(counts) - counts, counts)
+        top = np.arange(counts.sum()) - start + lo[rows]
+        sets = np.column_stack([sets[rows], top.astype(np.int32)])
+        sums = sums[rows] + top + 1
+        blocks.append(sets)
+        block_sums.append(sums)
+    table = padded_table(blocks, n)
+    weights = np.repeat(np.arange(1, len(blocks) + 1), [len(b) for b in blocks])
+    # rank sum, then parts, then colex: the pads of equal-weight rows tie, so
+    # the columns from last to first compare the largest rank down
+    order = np.lexsort((*table.T, weights, np.concatenate(block_sums)))
+    return table[order]
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from stepgrand.codes import (
     crc_bits,
     load_alist,
     load_dense_generator,
-    load_reliability_sequence,
     polar_transform_rows,
     polarization_weight_order,
     save_alist,
@@ -191,11 +190,6 @@ class TestReliabilityOrder:
             i, j = rng.randrange(128), rng.randrange(128)
             if i != j and (i & j) == i:  # j covers every set bit of i
                 assert pos[i] < pos[j]
-
-    def test_load_from_explicit_path(self, tmp_path):
-        f = tmp_path / "seq.txt"
-        f.write_text("# comment line\n3 1 0 2  # trailing comment\n")
-        assert load_reliability_sequence(f) == (3, 1, 0, 2)
 
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError, match="power of two"):

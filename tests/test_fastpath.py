@@ -155,22 +155,137 @@ class TestSoftEngine:
         for row in (0, 5, 17, len(stream) - 1):
             assert engine.hit_ranks(row) == stream[row].ranks
 
-    def test_scan_finds_planted_pattern(self):
+    def test_search_finds_planted_pattern(self):
         code = build_ca_polar(32, 20, crc=None)
         spec = StepGrandSpec(alpha=1, beta=6, p_max=3)
         engine = SoftEngine(code, spec)
         cols = packed_parity_columns(code)
         perm = np.arange(code.n)
-        sigma = np.append(cols[perm], np.int32(0))
         # syndrome of ranks (2, 5) = columns 1 and 4
         target = int(cols[1] ^ cols[4])
-        row = engine.scan(sigma, target)
+        row = int(engine.search(perm[None, :], cols, np.array([target], dtype=np.int32))[0])
         assert row >= 0
         hit = engine.hit_ranks(row)
         syn = 0
         for r in hit:
             syn ^= int(cols[r - 1])
         assert syn == target
+
+
+class SmallTiles(SoftEngine):
+    """SoftEngine with tiles and slices small enough that a short stream and
+    a handful of frames cross several edges of each."""
+
+    tile_rows = 29
+    slice_frames = 5
+
+
+def first_match(engine, perm, cols, target):
+    """First stream position whose pattern syndrome is target, -1 if none:
+    every pattern's syndrome XOR-reduced from its columns, no recursion."""
+    sigma = np.append(cols[perm], np.int32(0))
+    syn = np.bitwise_xor.reduce(sigma[engine.rank_index], axis=1)
+    hits = np.flatnonzero(syn == target)
+    return int(hits[0]) if hits.size else -1
+
+
+class TestBatchedSoftSearch:
+    # streams short enough for the literal decoder on every frame
+    SPECS = [OrbgrandSpec(lw_max=30, p_max=4), OrbgrandSpec(p_max=2),
+             StepGrandSpec(1, 5, 4)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nk=st.sampled_from([(20, 10), (24, 12)]),
+           kind=st.sampled_from(["float", "tied", "zero", "quantized"]),
+           spec=st.sampled_from(SPECS), small=st.booleans(),
+           count=st.integers(1, 24))
+    def test_search_matches_decode(self, seed, nk, kind, spec, small, count):
+        rng = np.random.default_rng(seed)
+        code = random_code(rng, *nk)
+        engine = (SmallTiles if small else SoftEngine)(code, spec)
+        cols = packed_parity_columns(code)
+        frames = []
+        while len(frames) < count:
+            v = contract_llrs(rng, code.n, kind)
+            s = code.syndrome(BitWord.from_array(harden(v)))
+            if not s.is_zero():
+                frames.append((v, np.argsort(np.abs(v.llr), kind="stable"), s.value))
+        perms = np.array([f[1] for f in frames])
+        pos = search(engine, frames, cols)
+        flips = engine.flip_mask(perms, pos)
+        for (v, _, _), p, row in zip(frames, pos, flips):
+            want = literal_outcome(v, code, spec)
+            assert (p, tuple(np.flatnonzero(row).tolist())) == want
+
+    @pytest.mark.parametrize("m", [1, SoftEngine.slice_frames, SoftEngine.slice_frames + 1])
+    def test_frame_counts_around_a_slice(self, m):
+        code = build_ca_polar(128, 105)
+        engine = SoftEngine(code, OrbgrandSpec(64, 6))
+        cols = packed_parity_columns(code)
+        frames = nonclean_frames(code, np.random.default_rng(m), m, ebn0=3.0)
+        pos = search(engine, frames, cols)
+        assert pos.shape == (m,) and pos.dtype == np.int64
+        assert pos.tolist() == [first_match(engine, p, cols, t) for _, p, t in frames]
+
+    def test_hits_on_both_sides_of_each_tile_edge(self):
+        code = build_ca_polar(128, 105)
+        engine = SoftEngine(code, OrbgrandSpec(64, 6))
+        edges = engine.block_edges
+        assert edges[0] == 0 and edges[-1] == engine.pattern_count
+        assert all(b - a == engine.tile_rows for a, b in zip(edges, edges[1:-1]))
+        cols = packed_parity_columns(code)
+        rng = np.random.default_rng(29)
+        rows = np.array([r for e in edges[1:-1] for r in (e - 1, e)])
+        perms = np.argsort(rng.normal(size=(len(rows), code.n)), axis=1, kind="stable")
+        # each target is the syndrome of the pattern at a row beside an edge
+        sigma = np.concatenate([cols[perms], np.zeros((len(rows), 1), np.int32)], axis=1)
+        planted = engine.rank_index[rows]
+        targets = np.bitwise_xor.reduce(
+            np.take_along_axis(sigma, planted.astype(np.int64), axis=1), axis=1)
+        pos = engine.search(perms, cols, targets)
+        want = [first_match(engine, p, cols, t) for p, t in zip(perms, targets)]
+        assert pos.tolist() == want
+        assert (pos <= rows).all()
+        # most plants are the first match, on both sides of the edges
+        exact = rows[pos == rows]
+        assert len(exact) > 0.8 * len(rows)
+        assert set(exact % engine.tile_rows) == {0, engine.tile_rows - 1}
+
+    def test_wide_table(self):
+        # ten-rank rows at n = 128: 70 bits as seven bits per rank
+        code = build_ca_polar(128, 105)
+        spec = OrbgrandSpec(lw_max=55)
+        engine = SoftEngine(code, spec)
+        assert engine.rank_index.shape[1] == 10
+        assert engine.pattern_count == spec.pattern_count(code.n)
+        cols = packed_parity_columns(code)
+        rng = np.random.default_rng(31)
+        deep = np.flatnonzero(engine.weights >= 8)
+        rows = np.concatenate([rng.choice(deep, 30), [engine.pattern_count - 1]])
+        perms = np.argsort(rng.normal(size=(len(rows), code.n)), axis=1, kind="stable")
+        sigma = np.concatenate([cols[perms], np.zeros((len(rows), 1), np.int32)], axis=1)
+        targets = np.bitwise_xor.reduce(np.take_along_axis(
+            sigma, engine.rank_index[rows].astype(np.int64), axis=1), axis=1)
+        pos = engine.search(perms, cols, targets)
+        assert pos.tolist() == [first_match(engine, p, cols, t)
+                                for p, t in zip(perms, targets)]
+        frames = nonclean_frames(code, rng, 20, ebn0=3.0)
+        pos = search(engine, frames, cols)
+        assert pos.tolist() == [first_match(engine, p, cols, t) for _, p, t in frames]
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[0, 1], [0, 32]], "before its prefix"),
+        ([[0, 32], [1, 2]], "lacks"),
+    ], ids=["parent-later", "parent-missing"])
+    def test_rejects_streams_without_the_prefix_property(self, rows, message):
+        class HandBuilt:
+            uses_sorting = True
+
+            def rank_table(self, n):
+                return np.array(rows, dtype=np.int32)
+
+        with pytest.raises(ValueError, match=message):
+            SoftEngine(build_ca_polar(32, 20, crc=None), HandBuilt())
 
 
 class TestBuildEngine:

@@ -44,7 +44,9 @@ class TestWorstCase:
         # itemized: initial + one-flip step + two-flip step, 7 sorter stages,
         # then C(28,1) + C(16,2) + C(10,3) + C(4,4) composite steps
         assert model.fixed_overhead + model.sorter_cycles == 10
-        assert [model.composite_steps(hw) for hw in (3, 4, 5, 6)] == [28, 120, 120, 1]
+        bases, last = anchor_steps(model.schedule)
+        steps = [*bases.values(), last]
+        assert [b - a for a, b in zip(steps, steps[1:])] == [28, 120, 120, 1]
 
     def test_anchor_steps_of_reference_schedule(self):
         # after the single- and two-flip steps, each weight's anchor sweep

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from stepgrand.channel import SoftVector
-from stepgrand.decoder import OrbgrandSpec
+from stepgrand.decoder import GrandabSpec, OrbgrandSpec, StepGrandSpec
 from stepgrand.patterns import (
     SortedReliability,
     StepSchedule,
@@ -19,6 +19,7 @@ from stepgrand.patterns import (
     grandab_teps,
     map_ranks,
     max_logistic_weight,
+    orbgrand_count,
     orbgrand_teps,
     sort_reliability,
     step_grand_teps,
@@ -206,6 +207,48 @@ ORBGRAND_COUNT_CASES = [
 def test_orbgrand_count_equals_stream_length(n, lw, p):
     spec = OrbgrandSpec(lw_max=lw, p_max=p)
     assert spec.pattern_count(n) == sum(1 for _ in spec.teps(n))
+
+
+RANK_TABLE_CASES = [
+    (n, OrbgrandSpec(lw_max=lw, p_max=p))
+    # None, bounded and at the limits: 136, 528 and 8256 are the largest
+    # rank sums at n = 16, 32 and 128, and p = n is the largest flip count
+    for n, cases in ((3, ((None, None), (6, 3), (4, 1), (0, None))),
+                     (8, ((None, None), (35, 8), (20, 3), (21, None))),
+                     (16, ((None, 3), (136, 2), (20, None))),
+                     (32, ((None, 2), (528, 1), (40, 4))),
+                     (128, ((40, None), (64, 6), (None, 2), (8256, 1))))
+    for lw, p in cases
+] + [(16, GrandabSpec(0)), (16, GrandabSpec(3)), (32, StepGrandSpec(1, 6, 3)),
+     (128, StepGrandSpec(2, 6, 6))]
+
+
+@pytest.mark.parametrize("n, spec", RANK_TABLE_CASES, ids=str)
+def test_rank_table_is_the_stream(n, spec):
+    table = spec.rank_table(n)
+    stream = [tep.ranks for tep in spec.teps(n)]
+    width = max(map(len, stream), default=1)
+    assert table.dtype == np.int32 and table.shape == (len(stream), width)
+    assert [tuple(r + 1 for r in row if r < n) for row in table.tolist()] == stream
+    assert (np.sort(table, axis=1) == table).all()  # pads of n last
+
+
+def python_int_orbgrand_count(n, lw, p):
+    """The sets of at most p distinct ranks in [1, n] with rank sum at most
+    lw, by a DP over Python ints with no flip-count cap."""
+    ways = np.zeros((p + 1, lw + 1), dtype=object)
+    ways[0, 0] = 1
+    for r in range(1, min(n, lw) + 1):
+        ways[1:, r:] = ways[1:, r:] + ways[:-1, :-r]
+    return int(ways[1:].sum())
+
+
+# on both sides of the int64 DP: at n = 63 every count fits in int64, and
+# at n = 64, lw = 1500 the count itself is above 2^63
+@pytest.mark.parametrize("n, lw, p", [(63, 1000, None), (64, 1500, None),
+                                      (128, 300, None), (128, 300, 20), (40, 210, 20)])
+def test_orbgrand_count_matches_python_ints(n, lw, p):
+    assert orbgrand_count(n, lw, p) == python_int_orbgrand_count(n, lw, n if p is None else p)
 
 
 def test_orbgrand_part_cap_small_n():

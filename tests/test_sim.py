@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -444,6 +445,24 @@ GOLDEN_COMPARE = _GOLDEN_META.format(
     "54,432,2.160000e-02,8.640000e-03,8.612800,1.799600,105,12,1\n"
 )
 
+# orbgrand's 16,580-pattern stream spans several search tiles; the 3 dB
+# point abandons frames, and quantized LLRs tie heavily
+_ORBGRAND_META = _GOLDEN_META.format(variants="# variant=orbgrand(lw=48,p=5)\n")
+_ORBGRAND_HEADER = (
+    "ebn0_db,frames,frame_errors,bit_errors,fer,ber,avg_queries,avg_cycles,"
+    "wc_queries_obs,wc_cycles_obs,capped\n"
+)
+GOLDEN_ORBGRAND = {
+    False: _ORBGRAND_META + _ORBGRAND_HEADER + (
+        "3,2500,157,896,6.280000e-02,1.792000e-02,165.477600,,16581,,1\n"
+        "5,2500,11,46,4.400000e-03,9.200000e-04,7.844000,,835,,1\n"
+    ),
+    True: _ORBGRAND_META.replace("quantize=0", "quantize=1") + _ORBGRAND_HEADER + (
+        "3,2048,338,1819,1.650391e-01,4.440918e-02,535.431152,,16581,,0\n"
+        "5,2500,116,584,4.640000e-02,1.168000e-02,141.377600,,16581,,1\n"
+    ),
+}
+
 
 class TestGoldenCsv:
     # two points on capolar(32,20): 3 dB stops after one chunk, 5 dB runs
@@ -460,6 +479,13 @@ class TestGoldenCsv:
         out = tmp_path / "single.csv"
         run_sweep(self.config(StepGrandSpec(1, 6, 3)), out=out)
         assert out.read_text() == GOLDEN_SINGLE
+
+    @pytest.mark.parametrize("quantized", [False, True], ids=["float", "quantized"])
+    def test_orbgrand_bytes(self, tmp_path, quantized):
+        out = tmp_path / "orbgrand.csv"
+        cfg = replace(self.config(OrbgrandSpec(48, 5)), quantize=quantized)
+        run_sweep(cfg, out=out)
+        assert out.read_text() == GOLDEN_ORBGRAND[quantized]
 
     def test_compare_bytes_and_discord(self, tmp_path):
         out = tmp_path / "compare.csv"
