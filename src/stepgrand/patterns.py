@@ -229,14 +229,23 @@ def orbgrand_count(n: int, lw_max: int | None, p_max: int | None) -> int:
     if lw_max >= p * n - p * (p - 1) // 2:
         # even the p largest ranks fit the bound, so every set of <= p does
         return sum(sizes)
-    # ways[k, s]: sets of k distinct ranks among 1..r with rank sum s; no
-    # entry, nor their total, exceeds sum(sizes)
+    # g[d]: sets of k distinct ranks in [1, n] with rank sum k(k+1)/2 + d,
+    # the coefficients of the Gaussian binomial [n choose k]_q, from
+    # [n choose k-1]_q (1 - q^(n-k+1)) / (1 - q^k), truncated at the degree
+    # that still fits lw_max; the division is a stride-k prefix sum. No
+    # coefficient, nor the total, exceeds sum(sizes) in magnitude
     dtype = np.int64 if sum(sizes) < 1 << 63 else object
-    ways = np.zeros((p + 1, lw_max + 1), dtype=dtype)
-    ways[0, 0] = 1
-    for r in range(1, min(n, lw_max) + 1):
-        ways[1:, r:] = ways[1:, r:] + ways[:-1, :-r]
-    return int(ways[1:].sum())
+    g = np.zeros(lw_max + 1, dtype=dtype)
+    g[0] = 1
+    total = 0
+    for k in range(1, p + 1):
+        g = g[:lw_max - k * (k + 1) // 2 + 1]
+        m = n - k + 1
+        g[m:] = g[m:] - g[:-m]
+        for r in range(k):
+            g[r::k] = g[r::k].cumsum()
+        total += g.sum()
+    return int(total)
 
 
 def orbgrand_teps(n: int, lw_max: int | None, p_max: int | None) -> Iterator[Tep]:

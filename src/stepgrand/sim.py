@@ -78,6 +78,8 @@ class SweepConfig:
             raise ValueError("workers must be >= 1")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        # raises above 63 parity bits here rather than in a worker
+        packed_parity_columns(self.code)
         for spec in self.variants:
             # also raises each spec's own out-of-range parameter error
             count = spec.pattern_count(self.code.n)

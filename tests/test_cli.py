@@ -144,6 +144,16 @@ class TestMainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and fragment in err
 
+    def test_code_above_63_parity_bits_exits_nonzero(self, tmp_path, capsys):
+        # refused at config time, before any worker process starts
+        path = tmp_path / "bch127_57.txt"
+        save_dense_generator(build_bch(7, 11), path)
+        rc = main(["--code", f"dense:{path}", "--ebn0", "4", "--workers", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "has 70 parity bits; syndromes pack into at most 63" in err
+
     @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
     def test_out_of_range_seed_exits_nonzero(self, seed, capsys):
         rc = main(["--code", "bch127", "--ebn0", "4", f"--seed={seed}"])

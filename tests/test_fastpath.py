@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -17,12 +15,11 @@ from stepgrand.fastpath import (
     HardEngine,
     HitReport,
     SoftEngine,
-    StepEngine,
     build_engine,
     packed_parity_columns,
 )
 from stepgrand.gf2 import BitMatrix, BitWord
-from stepgrand.hwmodel import LatencyModel, anchor_steps
+from stepgrand.hwmodel import LatencyModel
 
 
 def literal_outcome(v, code, spec):
@@ -217,19 +214,25 @@ class TestBatchedSoftSearch:
             want = literal_outcome(v, code, spec)
             assert (p, tuple(np.flatnonzero(row).tolist())) == want
 
+    # orbgrand's 116,319 rows span 29 tiles, the stepped schedule's 8,828
+    # rows three
+    TILED = [OrbgrandSpec(64, 6), StepGrandSpec(2, 6, 6)]
+
     @pytest.mark.parametrize("m", [1, SoftEngine.slice_frames, SoftEngine.slice_frames + 1])
     def test_frame_counts_around_a_slice(self, m):
         code = build_ca_polar(128, 105)
-        engine = SoftEngine(code, OrbgrandSpec(64, 6))
         cols = packed_parity_columns(code)
         frames = nonclean_frames(code, np.random.default_rng(m), m, ebn0=3.0)
-        pos = search(engine, frames, cols)
-        assert pos.shape == (m,) and pos.dtype == np.int64
-        assert pos.tolist() == [first_match(engine, p, cols, t) for _, p, t in frames]
+        for spec in self.TILED:
+            engine = SoftEngine(code, spec)
+            pos = search(engine, frames, cols)
+            assert pos.shape == (m,) and pos.dtype == np.int64
+            assert pos.tolist() == [first_match(engine, p, cols, t) for _, p, t in frames]
 
-    def test_hits_on_both_sides_of_each_tile_edge(self):
+    @pytest.mark.parametrize("spec", TILED, ids=lambda s: s.label)
+    def test_hits_on_both_sides_of_each_tile_edge(self, spec):
         code = build_ca_polar(128, 105)
-        engine = SoftEngine(code, OrbgrandSpec(64, 6))
+        engine = SoftEngine(code, spec)
         edges = engine.block_edges
         assert edges[0] == 0 and edges[-1] == engine.pattern_count
         assert all(b - a == engine.tile_rows for a, b in zip(edges, edges[1:-1]))
@@ -292,16 +295,45 @@ class TestBuildEngine:
     def test_dispatch(self):
         code = build_bch(4, 2)
         assert isinstance(build_engine(code, GrandabSpec(2)), HardEngine)
-        assert isinstance(build_engine(code, StepGrandSpec(1, 6, 2)), StepEngine)
+        assert isinstance(build_engine(code, StepGrandSpec(1, 6, 2)), SoftEngine)
         assert isinstance(
             build_engine(code, OrbgrandSpec(lw_max=10, p_max=2)), SoftEngine
         )
 
     def test_rejects_wide_parity_checks(self):
-        code = build_ca_polar(64, 20, crc=None)
-        assert code.n - code.k > 31
-        with pytest.raises(ValueError, match="31"):
+        code = build_ca_polar(128, 64, crc=None)
+        with pytest.raises(ValueError, match="64 parity bits; syndromes pack into at most 63"):
             packed_parity_columns(code)
+
+    @pytest.mark.parametrize("t, bits, dtype", [(3, 21, np.int32), (5, 35, np.int64),
+                                                (10, 63, np.int64)])
+    def test_syndrome_dtype_follows_parity_bits(self, t, bits, dtype):
+        code = build_bch(7, t)
+        cols = packed_parity_columns(code)
+        assert code.n - code.k == bits
+        assert cols.dtype == dtype
+        assert cols.tolist() == list(code.parity_columns)
+
+    @pytest.mark.parametrize("spec", [GrandabSpec(2), OrbgrandSpec(40, 4),
+                                      StepGrandSpec(1, 8, 4)], ids=lambda s: s.label)
+    def test_wide_syndromes_match_decode(self, spec):
+        # the (127,92) BCH code: 35 parity bits, so int64 syndromes
+        code = build_bch(7, 5)
+        engine = build_engine(code, spec)
+        cols = packed_parity_columns(code)
+        frames = nonclean_frames(code, np.random.default_rng(37), 40, ebn0=4.0)
+        perms = np.array([f[1] for f in frames])
+        targets = np.array([f[2] for f in frames], dtype=np.int64)
+        assert (targets >= 1 << 31).any()
+        pos = engine.search(perms, cols, targets)
+        flips = engine.flip_mask(perms, pos)
+        outcomes = [literal_outcome(v, code, spec) for v, _, _ in frames]
+        assert [(p, tuple(np.flatnonzero(row).tolist())) for p, row in zip(pos, flips)] == outcomes
+        assert (pos >= 0).any() and (pos < 0).any()
+        if isinstance(engine, SoftEngine):
+            for (_, perm, target), want in zip(frames, outcomes):
+                got = engine.decode_frame(perm, cols, target)
+                assert (got.stream_position, got.positions) == want
 
     def test_empty_report_for_unmatchable_syndrome(self):
         code = build_bch(4, 2)
@@ -348,7 +380,9 @@ def search(engine, frames, cols):
     return engine.search(perms, cols, targets)
 
 
-class TestStepEngine:
+class TestSteppedSchedule:
+    # the stepped schedule through build_engine, against the literal decoder
+    # and the first_match brute force
     @pytest.mark.parametrize("quantized", [False, True], ids=["float", "quantized"])
     @pytest.mark.parametrize(
         "spec", [StepGrandSpec(1, 4, 3), StepGrandSpec(2, 5, 4), StepGrandSpec(1, 6, 3)],
@@ -358,7 +392,7 @@ class TestStepEngine:
     def test_matches_literal_decoder_on_random_codes(self, seed, spec, quantized):
         rng = np.random.default_rng(seed)
         code = random_code(rng, 32, 16)
-        engine = StepEngine(code, spec)
+        engine = build_engine(code, spec)
         cols = packed_parity_columns(code)
         frames = nonclean_frames(code, rng, 60, quantized=quantized)
         if quantized:
@@ -377,96 +411,42 @@ class TestStepEngine:
         "code_name, spec",
         [("capolar128", StepGrandSpec(2, 6, 6)), ("bch127", StepGrandSpec(2, 7, 6))],
     )
-    def test_matches_soft_engine_on_benchmark_codes(self, code_name, spec, ebn0):
+    def test_matches_first_match_on_benchmark_codes(self, code_name, spec, ebn0):
         code = build_ca_polar(128, 105) if code_name == "capolar128" else build_bch(7, 3)
-        engine, oracle = StepEngine(code, spec), SoftEngine(code, spec)
-        assert engine.pattern_count == oracle.pattern_count == spec.pattern_count(code.n)
-        assert (engine.rank_index == oracle.rank_index).all()
-        assert (engine.weights == oracle.weights).all()
+        engine = build_engine(code, spec)
+        stream = [tep.ranks for tep in spec.teps(code.n)]
+        assert engine.pattern_count == spec.pattern_count(code.n) == len(stream)
+        assert [engine.hit_ranks(row) for row in range(len(stream))] == stream
         cols = packed_parity_columns(code)
         rng = np.random.default_rng([int(ebn0), code.n])
         frames = nonclean_frames(code, rng, 200, ebn0=ebn0)
         pos = search(engine, frames, cols)
         flips = engine.flip_mask(np.array([f[1] for f in frames]), pos)
-        want = [oracle.decode_frame(p, cols, t) for _, p, t in frames]
-        assert pos.tolist() == [r.stream_position for r in want]
-        for row, r in zip(flips, want):
-            assert tuple(np.flatnonzero(row)) == r.positions
+        assert pos.tolist() == [first_match(engine, p, cols, t) for _, p, t in frames]
+        assert (pos >= 0).any() and (pos < 0).any()
+        for (_, perm, _), p, row in zip(frames, pos, flips):
+            ranks = engine.rank_index[p, :engine.weights[p]] if p >= 0 else []
+            assert tuple(np.flatnonzero(row)) == tuple(sorted(perm[ranks]))
         # the literal decoder on a few of them
         for v, perm, target in frames[:6]:
             got = engine.decode_frame(perm, cols, target)
             assert (got.stream_position, got.positions) == literal_outcome(v, code, spec)
 
-    @pytest.mark.parametrize("m", [1, StepEngine.slice_frames, StepEngine.slice_frames + 1])
-    def test_batch_size_does_not_change_results(self, m):
-        code = build_ca_polar(128, 105)
-        spec = StepGrandSpec(2, 6, 6)
-        engine, oracle = StepEngine(code, spec), SoftEngine(code, spec)
-        cols = packed_parity_columns(code)
-        frames = nonclean_frames(code, np.random.default_rng(m), m, ebn0=3.0)
-        pos = search(engine, frames, cols)
-        assert pos.shape == (m,)
-        assert pos.tolist() == [oracle.decode_frame(p, cols, t).stream_position
-                                for _, p, t in frames]
-
     @pytest.mark.parametrize("spec", [StepGrandSpec(1, 6, 1), StepGrandSpec(1, 6, 2),
                                       StepGrandSpec(2, 6, 2)], ids=lambda s: s.label)
     def test_schedules_without_composite_entries(self, spec):
         code = build_ca_polar(128, 105)
-        engine, oracle = StepEngine(code, spec), SoftEngine(code, spec)
+        engine = build_engine(code, spec)
         steps = LatencyModel(code.n, spec.schedule(code.n)).stream_steps
-        assert engine.pair_bits == 0
         assert steps[-1] == 2
         cols = packed_parity_columns(code)
         frames = nonclean_frames(code, np.random.default_rng(17), 80, ebn0=5.0)
         pos = search(engine, frames, cols)
-        want = [oracle.decode_frame(p, cols, t).stream_position for _, p, t in frames]
+        want = [first_match(engine, p, cols, t) for _, p, t in frames]
         assert pos.tolist() == want
         weights = np.where(pos >= 0, engine.weights[pos], 2)
         assert steps[pos].tolist() == weights.tolist()
         assert (pos >= 0).any() and (pos < 0).any()
-
-    @pytest.mark.parametrize("largest", [False, True], ids=["inner", "last-key"])
-    def test_anchor_skips_pairs_at_or_below_its_last_rank(self, largest):
-        # The target is the syndrome of rank 5 alone and of the weight-3
-        # pattern (1, 2, 3). For anchor (0,) the bank pair (0, 5) completes
-        # the target but reuses the anchor's rank: an invalid completion, and
-        # the lexicographically first match. In a full search the weight-1
-        # entry resolves such a frame first, so only the weight-3 entry is
-        # kept here. With largest, (0, 5) also has the largest pair syndrome,
-        # so the anchor's query sorts past the last key.
-        code = build_ca_polar(32, 20, crc=None)
-        spec = StepGrandSpec(1, 6, 3)
-        engine = StepEngine(code, spec)
-        entry = next(e for e in engine.entries if e.weight == 3)
-        engine.entries = [entry]
-        cols = np.random.default_rng(5).integers(1, 1 << 11, code.n, dtype=np.int32)
-        cols[5] = cols[1] ^ cols[2] ^ cols[3]
-        if largest:
-            cols[0] = cols[5] ^ ((1 << 12) - 1)
-        target = int(cols[5])
-        pairs = list(itertools.combinations(range(entry.gamma), 2))
-        pair_syn = [int(cols[i] ^ cols[j]) for i, j in pairs]
-        first = next(p for p, s in zip(pairs, pair_syn) if s == target ^ int(cols[0]))
-        assert first == (0, 5)
-        assert (max(pair_syn) == pair_syn[pairs.index(first)]) == largest
-        perm = np.arange(code.n)
-        pos = engine.search(perm[None, :], cols, np.array([target], dtype=np.int32))
-        patterns = list(itertools.combinations(range(entry.gamma), 3))
-        want = next(i for i, p in enumerate(patterns)
-                    if int(np.bitwise_xor.reduce(cols[list(p)])) == target)
-        assert patterns[want] == (1, 2, 3)
-        assert pos[0] == entry.offset + want
-        schedule = spec.schedule(code.n)
-        step = LatencyModel(code.n, schedule).stream_steps[pos[0]]
-        assert step == anchor_steps(schedule)[0][3] + 2  # anchor (1,) is the second
-
-    def test_rejects_keys_wider_than_63_bits(self):
-        class Wide(StepEngine):
-            slice_frames = 1 << 40
-
-        with pytest.raises(ValueError, match="63"):
-            Wide(build_ca_polar(128, 105), StepGrandSpec(2, 6, 6))
 
 
 CONTRACT_ENGINES = {

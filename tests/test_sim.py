@@ -1,5 +1,4 @@
 import math
-import multiprocessing
 import re
 from dataclasses import replace
 
@@ -19,7 +18,7 @@ from stepgrand.decoder import (
     StepGrandSpec,
     decode,
 )
-from stepgrand.fastpath import SoftEngine, StepEngine, packed_parity_columns
+from stepgrand.fastpath import build_engine, packed_parity_columns
 from stepgrand.gf2 import BitMatrix, BitWord, identity
 from stepgrand.hwmodel import LatencyModel
 from stepgrand.sim import (
@@ -280,6 +279,35 @@ class TestConfigValidation:
             SweepConfig(code=code, variants=(GrandabSpec(1), spec), ebn0_db=(1.0,))
 
 
+class TestWideSyndromes:
+    # bch(127,92) has 35 parity bits, so its syndromes are int64
+    def test_rejects_codes_above_63_parity_bits(self):
+        SweepConfig(code=build_bch(7, 10), variants=(GrandabSpec(1),), ebn0_db=(1.0,))
+        with pytest.raises(ValueError, match="70 parity bits; syndromes pack into at most 63"):
+            SweepConfig(code=build_bch(7, 11), variants=(GrandabSpec(1),),
+                        ebn0_db=(1.0,), workers=2)
+
+    def test_sweep_bytes_match_across_workers(self, tmp_path):
+        code = build_bch(7, 5)
+        assert code.n - code.k == 35
+
+        def run(workers):
+            out = tmp_path / f"w{workers}.csv"
+            cfg = SweepConfig(
+                code=code, variants=(GrandabSpec(2), StepGrandSpec(1, 8, 4)),
+                ebn0_db=(4.0,), min_frame_errors=10**9, max_frames=1500,
+                seed=12, workers=workers,
+            )
+            return compare_decoders(cfg, out=out)[0], out.read_bytes()
+
+        (point, csv), (_, csv2) = run(1), run(2)
+        assert csv2 == csv
+        grandab, step = point.stats
+        assert point.frames == 1500
+        assert 0 < step.frame_errors < grandab.frame_errors
+        assert step.avg_cycles is None  # n = 127 has no cycle model
+
+
 class TestStatisticsHelpers:
     def test_wilson_interval_known_value(self):
         lo, hi = wilson_interval(50, 100)
@@ -333,7 +361,7 @@ class TestStepCycles:
         # at most w), or of nine arbitrary ranks (nearly always abandoned)
         code = build_ca_polar(128, 105)
         spec = StepGrandSpec(2, 6, 6)
-        engine = StepEngine(code, spec)
+        engine = build_engine(code, spec)
         schedule = spec.schedule(code.n)
         model = LatencyModel(code.n, schedule)
         rng = np.random.default_rng(23)
@@ -346,6 +374,11 @@ class TestStepCycles:
             ranks = rng.choice(gamma, size=w, replace=False)
             targets[i] = np.bitwise_xor.reduce(cols[perms[i, ranks]])
         pos = engine.search(perms, cols, targets)
+        # brute force: every pattern's syndrome XOR-reduced from its columns
+        for perm, target, p in zip(perms, targets, pos):
+            syn = np.bitwise_xor.reduce(np.append(cols[perm], 0)[engine.rank_index], axis=1)
+            hits = np.flatnonzero(syn == target)
+            assert p == (hits[0] if hits.size else -1)
         frame_lat, pipe = model.cycles_from_steps(model.stream_steps[pos])
         weights = engine.weights[pos[pos >= 0]]
         assert (pos < 0).sum() > 40
@@ -384,29 +417,6 @@ class TestStepCycles:
         pipe = [model.pipeline_cycles(t) for t in traces]
         assert stats.avg_cycles == pytest.approx(sum(pipe) / frames)
         assert stats.wc_cycles_obs == max(model.frame_cycles(t) for t in traces)
-
-
-class TestSoftEngineOracle:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_csv_unchanged_with_soft_engine_search(self, tmp_path, monkeypatch, workers):
-        if workers > 1 and multiprocessing.get_start_method() != "fork":
-            pytest.skip("workers see the patched build_engine only when forked")
-        cfg = SweepConfig(
-            code=build_ca_polar(128, 105), variants=(StepGrandSpec(2, 6, 6),),
-            ebn0_db=(3.0,), min_frame_errors=10**9,
-            max_frames=2 * CHUNK_FRAMES, seed=41, workers=workers,
-        )
-        run_sweep(cfg, out=tmp_path / "step.csv")
-        built = []
-
-        def soft_engine(code, spec):
-            built.append(spec)
-            return SoftEngine(code, spec)
-
-        monkeypatch.setattr(sim, "build_engine", soft_engine)
-        run_sweep(cfg, out=tmp_path / "soft.csv")
-        assert workers > 1 or built == [cfg.variants[0]]
-        assert (tmp_path / "soft.csv").read_bytes() == (tmp_path / "step.csv").read_bytes()
 
 
 _GOLDEN_META = (
@@ -464,6 +474,25 @@ GOLDEN_ORBGRAND = {
 }
 
 
+# capolar128 under its default stepped schedule at 3 dB: over half the frames
+# are errors, most of them abandoned after all three search tiles, and every
+# frame's cycles come from hwmodel's step table
+GOLDEN_STEPPED = (
+    "# stepgrand sweep\n"
+    "# code=capolar(128,105+11) n=128 k=105\n"
+    "# variant=stepgrand(a=2,b=6,p=6)\n"
+    "# ebn0_db=3\n"
+    "# seed=41 min_frame_errors=1000000000 max_frames=2048 quantize=0 chunk_frames=1024\n"
+    "# queries include the initial hard-decision membership test\n"
+    "# avg_cycles: pipelined per-frame counter (sorter stages overlapped);"
+    " wc_cycles_obs: full frame latency; cycles are modeled only for the"
+    " stepped-schedule variant on power-of-two block lengths\n"
+    "ebn0_db,frames,frame_errors,bit_errors,fer,ber,avg_queries,avg_cycles,"
+    "wc_queries_obs,wc_cycles_obs,capped\n"
+    "3,2048,1130,59497,5.517578e-01,2.766788e-01,5949.510742,161.593750,8829,279,1\n"
+)
+
+
 class TestGoldenCsv:
     # two points on capolar(32,20): 3 dB stops after one chunk, 5 dB runs
     # into the 2500-frame cap (two full chunks and a partial one); the
@@ -486,6 +515,17 @@ class TestGoldenCsv:
         cfg = replace(self.config(OrbgrandSpec(48, 5)), quantize=quantized)
         run_sweep(cfg, out=out)
         assert out.read_text() == GOLDEN_ORBGRAND[quantized]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stepped_schedule_bytes(self, tmp_path, workers):
+        out = tmp_path / "step.csv"
+        cfg = SweepConfig(
+            code=build_ca_polar(128, 105), variants=(StepGrandSpec(2, 6, 6),),
+            ebn0_db=(3.0,), min_frame_errors=10**9,
+            max_frames=2 * CHUNK_FRAMES, seed=41, workers=workers,
+        )
+        run_sweep(cfg, out=out)
+        assert out.read_text() == GOLDEN_STEPPED
 
     def test_compare_bytes_and_discord(self, tmp_path):
         out = tmp_path / "compare.csv"
