@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import re
 import sys
 
@@ -36,21 +37,23 @@ def resolve_code(token: str):
 def parse_ebn0(text: str) -> tuple[float, ...]:
     """Accept 'start:step:stop' (inclusive) or a comma list of dB values."""
     text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"bad ebn0 range {text!r}; expected start:step:stop")
-        start, step, stop = (float(p) for p in parts)
-        if step <= 0:
-            raise ValueError("ebn0 step must be positive")
-        if stop < start:
-            raise ValueError("ebn0 stop must not be below start")
-        count = int((stop - start) / step + 1e-9) + 1
-        return tuple(round(start + i * step, 9) for i in range(count))
-    values = tuple(float(p) for p in text.split(",") if p.strip())
-    if not values:
-        raise ValueError("ebn0 list must not be empty")
-    return values
+    parts = text.split(":") if ":" in text else [p for p in text.split(",") if p.strip()]
+    values = tuple(float(p) for p in parts)
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"ebn0 values must be finite, got {text!r}")
+    if ":" not in text:
+        if not values:
+            raise ValueError("ebn0 list must not be empty")
+        return values
+    if len(values) != 3:
+        raise ValueError(f"bad ebn0 range {text!r}; expected start:step:stop")
+    start, step, stop = values
+    if step <= 0:
+        raise ValueError("ebn0 step must be positive")
+    if stop < start:
+        raise ValueError("ebn0 stop must not be below start")
+    count = int((stop - start) / step + 1e-9) + 1
+    return tuple(round(start + i * step, 9) for i in range(count))
 
 
 def parse_variant(text: str) -> DecoderSpec:

@@ -167,8 +167,9 @@ def decode(
 # Decoder variants
 
 # Each variant bundles a label for reports, whether it needs the per-frame
-# reliability sort, the pattern stream, and the stream length (the worst-case
-# pattern test count; the initial hard-word check is not included).
+# reliability sort, the pattern stream and its table with parents (`rank_table`),
+# and the stream length (the worst-case pattern test count; the initial
+# hard-word check is not included).
 
 
 @dataclass(frozen=True)
@@ -186,7 +187,7 @@ class GrandabSpec:
     def teps(self, n: int) -> Iterable[Tep]:
         return grandab_teps(n, self.max_weight)
 
-    def rank_table(self, n: int) -> np.ndarray:
+    def rank_table(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         return grandab_table(n, self.max_weight)
 
     def pattern_count(self, n: int) -> int:
@@ -212,7 +213,7 @@ class OrbgrandSpec:
     def teps(self, n: int) -> Iterable[Tep]:
         return orbgrand_teps(n, self.lw_max, self.p_max)
 
-    def rank_table(self, n: int) -> np.ndarray:
+    def rank_table(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         return orbgrand_table(n, self.lw_max, self.p_max)
 
     def pattern_count(self, n: int) -> int:
@@ -240,7 +241,7 @@ class StepGrandSpec:
     def teps(self, n: int) -> Iterable[Tep]:
         return step_grand_teps(self.schedule(n))
 
-    def rank_table(self, n: int) -> np.ndarray:
+    def rank_table(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         return step_grand_table(self.schedule(n), n)
 
     def pattern_count(self, n: int | None = None) -> int:

@@ -24,10 +24,11 @@ search is one binary search per weight class.
 SoftEngine serves every reliability-sorted stream (orbgrand and the stepped
 schedule), whose syndromes depend on the per-frame reliability permutation,
 by prefix recursion: a pattern minus its top rank is an earlier pattern,
-its parent, so a pattern's syndrome is its parent's XOR one column. Frames
-go through in slices, stream rows in tiles, and within a tile rows are
-taken by weight so parents come before their children; only rows that are
-some row's parent keep their syndrome.
+its parent, so a pattern's syndrome is its parent's XOR one column. The
+spec's `rank_table` names each row's parent, and the engine only checks
+it. Frames go through in slices, stream rows in tiles, and within a tile
+rows are taken by weight so parents come before their children; only rows
+that are some row's parent keep their syndrome.
 """
 
 from __future__ import annotations
@@ -70,13 +71,14 @@ class _RankPatterns:
     position row, ascending and padded with n; weights[row] is its flip
     count. A spec that sorts by reliability maps ranks to bit positions
     through each frame's perm; otherwise a rank is the bit position itself.
-    The table is the spec's `rank_table`; subclasses supply `search`.
+    The table comes from the spec's `rank_table`, which also names each
+    row's parent; subclasses supply `search`.
     """
 
-    def __init__(self, code: LinearCode, spec: DecoderSpec):
+    def __init__(self, code: LinearCode, spec: DecoderSpec, rank_index: np.ndarray):
         self.code = code
         self.spec = spec
-        self.rank_index = rank_index = spec.rank_table(code.n)
+        self.rank_index = rank_index
         self.weights = (rank_index < code.n).sum(axis=1, dtype=np.int8)
         self.pattern_count = len(rank_index)
 
@@ -120,7 +122,7 @@ class HardEngine(_RankPatterns):
     is a grandab spec, whose max_weight bounds the weight classes."""
 
     def __init__(self, code: LinearCode, spec: DecoderSpec):
-        super().__init__(code, spec)
+        super().__init__(code, spec, spec.rank_table(code.n)[0])
         cols = packed_parity_columns(code)
         self.weight_tables = []
         offset = 0
@@ -160,32 +162,6 @@ class HardEngine(_RankPatterns):
         return self._reports(None, self.search(None, None, syndromes))
 
 
-def _prefix_parents(table: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """Row of each pattern's prefix (its ranks but the top one), -1 for a
-    single flip; a ValueError if some prefix is not in the table.
-
-    Resolved one prefix length at a time: a row is keyed by the row of its
-    shorter prefix times (n + 1) plus its next rank, and the keys of the
-    rows of that length are looked up by binary search.
-    """
-    parent = np.full(len(table), -1, dtype=np.int64)
-    prefix = parent.copy()  # row of each row's first j ranks
-    for j in range(table.shape[1]):
-        longer = np.flatnonzero(weights > j)
-        if longer.size == 0:
-            break
-        keys = (prefix[longer] + 1) * (n + 1) + table[longer, j]
-        ends = weights[longer] == j + 1
-        parent[longer[ends]] = prefix[longer[ends]]
-        order = np.argsort(keys[ends])
-        own, own_keys = longer[ends][order], keys[ends][order]
-        at = np.searchsorted(own_keys, keys)
-        if (at == len(own)).any() or (own_keys[at] != keys).any():
-            raise ValueError(f"stream lacks the {j + 1}-rank prefix of some pattern")
-        prefix[longer] = own[at]
-    return parent
-
-
 class SoftEngine(_RankPatterns):
     """Rank-pattern search of any prefix-closed stream by prefix recursion,
     batched over frames.
@@ -200,20 +176,28 @@ class SoftEngine(_RankPatterns):
     the first hit of each frame is its stream position, and resolved frames
     are dropped.
 
-    A stream without the prefix property (a pattern whose parent is missing
-    or comes after it) raises a ValueError at construction.
+    The parents come with the table from the spec's `rank_table`. A stream
+    without the prefix property (a pattern whose parent is not an earlier
+    row, or is not the pattern minus its top rank) raises a ValueError at
+    construction.
     """
 
     slice_frames = 64
     tile_rows = 4096
 
     def __init__(self, code: LinearCode, spec: DecoderSpec):
-        super().__init__(code, spec)
-        count = self.pattern_count
+        table, parent = spec.rank_table(code.n)
+        super().__init__(code, spec, table)
+        count, n = self.pattern_count, code.n
         rows = np.arange(count)
-        parent = _prefix_parents(self.rank_index, self.weights, code.n)
-        if (parent >= rows).any():
-            raise ValueError("stream has a pattern before its prefix")
+        if ((parent < -1) | (parent >= rows)).any():
+            raise ValueError("stream has a pattern whose parent is not an earlier row")
+        # column by column, the parent row is the row with its top rank
+        # padded; row -1, the empty pattern, is all pads
+        for j in range(table.shape[1]):
+            got = np.where(parent >= 0, table[parent, j], n)
+            if (got != np.where(self.weights > j + 1, table[:, j], n)).any():
+                raise ValueError("stream has a pattern whose parent is not its prefix")
         # slot 0 holds the empty pattern's syndrome, 0, and slot[-1] (the
         # slot of parent -1) points there; each parent row has a slot of its own
         is_parent = np.zeros(count + 1, dtype=bool)
@@ -222,7 +206,7 @@ class SoftEngine(_RankPatterns):
         slot = np.zeros(count + 1, dtype=np.int64)
         slot[keepers] = np.arange(1, len(keepers) + 1)
         self.slots = len(keepers) + 1
-        top = self.rank_index[rows, self.weights - 1]
+        top = table[rows, self.weights - 1]
         self.block_edges = [*range(0, count, self.tile_rows), count]
         # per tile, its weight groups: (rows, parent slots, top ranks, the
         # group's keeper indexes and their slots)

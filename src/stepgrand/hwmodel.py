@@ -15,7 +15,9 @@ frame use pipeline_cycles; worst-case figures use frame_cycles.
 
 This module owns the time-step numbering. `anchor_steps` counts the steps,
 and `LatencyModel.stream_steps` lays them out as one table over the stream
-positions, so a batch of search results becomes cycle counts by one lookup
+positions, reading each pattern's anchor off the same table and parents
+that `patterns.step_grand_table` builds for the search engine, so a batch of
+search results becomes cycle counts by one lookup
 (`cycles_from_steps(stream_steps[pos])`). The per-trace methods
 `time_step`, `frame_cycles` and `pipeline_cycles` are the readable
 specification that table is tested against.
@@ -31,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .decoder import ABANDONED, CLEAN, HIT, DecodeTrace
-from .patterns import StepSchedule, subset_table
+from .patterns import StepSchedule, step_grand_table
 
 
 def combination_rank(values: Sequence[int], n_total: int) -> int:
@@ -108,20 +110,16 @@ class LatencyModel:
         """Search time step of every stream position, int64, with the
         abandonment step appended, so index -1 serves abandoned frames.
 
-        A weight-w >= 3 entry repeats each anchor's step once per completion:
-        C(gamma - 1 - last, 2) pairs above the anchor's last 0-based rank.
+        Weights 1 and 2 take steps 1 and 2. From weight 3 on, a pattern's
+        anchor, its first w - 2 ranks, is its parent's parent in the stream
+        table, and a new step starts wherever the anchor changes.
         """
-        bases, last = self._anchor_steps
-        parts = []
-        for gamma, hw in self.schedule.entries:
-            if hw <= 2:
-                parts.append(np.full(math.comb(gamma, hw), hw, dtype=np.int64))
-                continue
-            tops = subset_table(gamma - 2, hw - 2)[:, -1].astype(np.int64)
-            completions = (gamma - 1 - tops) * (gamma - 2 - tops) // 2
-            parts.append(np.repeat(bases[hw] + 1 + np.arange(tops.size), completions))
-        parts.append(np.array([last], dtype=np.int64))
-        return np.concatenate(parts)
+        table, parent = step_grand_table(self.schedule, self.n)
+        w = (table < self.n).sum(axis=1)
+        anchor = np.where(w >= 3, parent[parent], -1)
+        new = (w >= 3) & (anchor != np.append(-1, anchor[:-1]))
+        steps = np.where(w <= 2, w, 2 + np.cumsum(new))
+        return np.append(steps, self._anchor_steps[1])
 
     def cycles_from_steps(self, step):
         """frame_cycles and pipeline_cycles of nonclean frames that finish

@@ -13,12 +13,15 @@ position). Streams are lazy generators in a fixed, documented order:
 Lexicographic order on ascending tuples fixes the lowest rank first, which is
 also the order the composite-syndrome hardware sweep visits patterns, so the
 first stream hit and the first hardware hit coincide.
-`subset_table` is that order as one array, for the engine and step tables.
 
-Each stream also has a table form for the engines, built in numpy without
-walking the generator: `grandab_table`, `step_grand_table` and
-`orbgrand_table` hold one row of 0-based ranks per stream position, padded
-with n. In every stream a pattern minus its top rank is an earlier pattern.
+Each stream also has a table form for the engines and the cycle model, built
+in numpy without walking the generator. One builder, `grown_table`, grows
+each (k+1)-set from a k-set, its parent, by a higher rank, and emits every
+weight block in lexicographic order. `grandab_table`, `step_grand_table` and
+`orbgrand_table` differ only in how far a set may grow; orbgrand then sorts
+its sets into stream order. Each returns (table, parent): one row of 0-based
+ranks per stream position, padded with n, and the row of each pattern minus
+its top rank, always an earlier pattern, or -1 for a single flip.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -123,33 +126,49 @@ def step_grand_teps(schedule: StepSchedule) -> Iterator[Tep]:
             yield Tep(combo)
 
 
-def subset_table(size: int, w: int) -> np.ndarray:
-    """Every w-subset of range(size) as an ascending row, in the order of
-    itertools.combinations: a (C(size, w), w) int32 array."""
-    table = np.zeros((1, 0), dtype=np.int32)
-    for k in range(w):
-        # the (k+1)-subsets led by a are a followed by each k-subset whose
-        # ranks all exceed a: the last C(size - 1 - a, k) rows of the k-table
-        counts = np.array([math.comb(size - 1 - a, k) for a in range(size)],
-                          dtype=np.int64)
-        rows = np.arange(counts.sum()) + np.repeat(len(table) - np.cumsum(counts), counts)
-        lead = np.repeat(np.arange(size, dtype=np.int32), counts)
-        table = np.column_stack([lead, table[rows]])
-    return table
+def grown_table(n: int, p: int, room: Callable[[int, np.ndarray], int | np.ndarray]
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Sets of at most p 0-based ranks below n, grown from the empty set, as
+    (table, parent).
+
+    Each (k+1)-set is a k-set, its parent, plus one higher rank below
+    room(k, sums) <= n, where sums are the k-sets' 1-based rank sums; growth
+    stops at p ranks or when no set grows. The table holds one ascending
+    int32 row per set, padded with n, in blocks of growing weight, each in
+    lexicographic order; parent[row] is the int32 row of that set minus its
+    top rank, -1 for a single flip.
+    """
+    grown = []
+    top = np.full(1, -1, dtype=np.int32)  # the empty set, whose children start at 0
+    sums = np.zeros(1, dtype=np.int64)
+    for k in range(p):
+        counts = np.maximum(room(k, sums) - top - 1, 0)
+        if not counts.any():
+            break
+        # each k-set's children take the ranks above its top in turn
+        first = (top + 1 - np.cumsum(counts) + counts).astype(np.int32)
+        top = np.arange(counts.sum(), dtype=np.int32) + np.repeat(first, counts)
+        sums = np.repeat(sums, counts) + top + 1
+        grown.append((counts, top))
+    table = np.full((sum(len(t) for _, t in grown), max(len(grown), 1)), n, dtype=np.int32)
+    parent = np.empty(len(table), dtype=np.int32)
+    base, lo = -1, 0  # the k-sets are table rows base..lo - 1; the empty set is -1
+    for k, (counts, top) in enumerate(grown):
+        hi = lo + len(top)
+        # a parent's children are consecutive, so each column is a repeat
+        parent[lo:hi] = np.repeat(np.arange(base, lo, dtype=np.int32), counts)
+        for j in range(k):
+            table[lo:hi, j] = np.repeat(table[base:lo, j], counts)
+        table[lo:hi, k] = top
+        base, lo = lo, hi
+    return table, parent
 
 
-def padded_table(blocks: list[np.ndarray], n: int) -> np.ndarray:
-    """Blocks of 0-based rank rows as one int32 table, each row padded with
-    n to the widest block (at least one column)."""
-    width = max((b.shape[1] for b in blocks), default=1)
-    padded = [np.pad(b, ((0, 0), (0, width - b.shape[1])), constant_values=n)
-              for b in blocks]
-    return np.concatenate([np.empty((0, width), dtype=np.int32), *padded])
-
-
-def step_grand_table(schedule: StepSchedule, n: int) -> np.ndarray:
-    """step_grand_teps(schedule) as a table of 0-based ranks padded with n."""
-    return padded_table([subset_table(gamma, hw) for gamma, hw in schedule.entries], n)
+def step_grand_table(schedule: StepSchedule, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """step_grand_teps(schedule) as grown_table's (table, parent): weight
+    k + 1 grows within the gamma of its entry."""
+    gammas = [gamma for gamma, _ in schedule.entries]
+    return grown_table(n, len(gammas), lambda k, sums: gammas[k])
 
 
 def grandab_count(n: int, max_weight: int) -> int:
@@ -171,10 +190,10 @@ def grandab_teps(n: int, max_weight: int) -> Iterator[Tep]:
             yield Tep(combo)
 
 
-def grandab_table(n: int, max_weight: int) -> np.ndarray:
-    """grandab_teps(n, max_weight) as a table of 0-based ranks padded with n."""
+def grandab_table(n: int, max_weight: int) -> tuple[np.ndarray, np.ndarray]:
+    """grandab_teps(n, max_weight) as grown_table's (table, parent)."""
     grandab_count(n, max_weight)  # checks max_weight
-    return padded_table([subset_table(n, w) for w in range(1, max_weight + 1)], n)
+    return grown_table(n, max_weight, lambda k, sums: n)
 
 
 def max_logistic_weight(n: int) -> int:
@@ -259,34 +278,25 @@ def orbgrand_teps(n: int, lw_max: int | None, p_max: int | None) -> Iterator[Tep
                 yield Tep(combo)
 
 
-def orbgrand_table(n: int, lw_max: int | None, p_max: int | None) -> np.ndarray:
-    """orbgrand_teps(n, lw_max, p_max) as a table of 0-based ranks padded
-    with n: every set within the bounds, then sorted into stream order."""
+def orbgrand_table(n: int, lw_max: int | None, p_max: int | None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """orbgrand_teps(n, lw_max, p_max) as grown_table's (table, parent):
+    every set within the bounds, then sorted into stream order."""
     lw_max, p_max = _orbgrand_bounds(n, lw_max, p_max)
-    # the k-sets as rows of 0-based ranks with their rank sums; each (k+1)-set
-    # is a k-set extended by a higher rank that keeps the sum within lw_max
-    sets = np.zeros((1, 0), dtype=np.int32)
-    sums = np.zeros(1, dtype=np.int64)
-    blocks, block_sums = [], [sums[:0]]
-    for k in range(p_max):
-        lo = sets[:, -1].astype(np.int64) + 1 if k else np.zeros(1, dtype=np.int64)
-        # 0-based rank r adds r + 1 to the sum
-        counts = np.maximum(np.minimum(n, lw_max - sums) - lo, 0)
-        if not counts.any():
-            break
-        rows = np.repeat(np.arange(len(sets)), counts)
-        start = np.repeat(np.cumsum(counts) - counts, counts)
-        top = np.arange(counts.sum()) - start + lo[rows]
-        sets = np.column_stack([sets[rows], top.astype(np.int32)])
-        sums = sums[rows] + top + 1
-        blocks.append(sets)
-        block_sums.append(sums)
-    table = padded_table(blocks, n)
-    weights = np.repeat(np.arange(1, len(blocks) + 1), [len(b) for b in blocks])
+    # 0-based rank r adds r + 1 to the sum, so it fits while r < lw_max - sum
+    table, parent = grown_table(n, p_max, lambda k, sums: np.minimum(n, lw_max - sums))
+    # 1-based rank sums, pads taken out; einsum sums the narrow rows several
+    # times faster than sum(axis=1)
+    weights = np.einsum("ij->i", table < n, dtype=np.int64)
+    sums = np.einsum("ij->i", table, dtype=np.int64) + weights - (table.shape[1] - weights) * n
     # rank sum, then parts, then colex: the pads of equal-weight rows tie, so
     # the columns from last to first compare the largest rank down
-    order = np.lexsort((*table.T, weights, np.concatenate(block_sums)))
-    return table[order]
+    order = np.lexsort((*table.T, weights, sums))
+    # parents follow their rows through the sort; index -1 keeps -1
+    moved = np.empty(len(order) + 1, dtype=np.int32)
+    moved[order] = np.arange(len(order), dtype=np.int32)
+    moved[-1] = -1
+    return table[order], moved[parent[order]]
 
 
 @dataclass(frozen=True)

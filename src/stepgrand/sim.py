@@ -70,6 +70,8 @@ class SweepConfig:
             raise ValueError("need at least one decoder variant")
         if not self.ebn0_db:
             raise ValueError("ebn0_db list must not be empty")
+        if not all(map(math.isfinite, self.ebn0_db)):
+            raise ValueError(f"ebn0_db values must be finite, got {self.ebn0_db}")
         if self.min_frame_errors < 1:
             raise ValueError("min_frame_errors must be >= 1")
         if self.max_frames < 1:

@@ -104,6 +104,9 @@ class TestMainCommand:
     @pytest.mark.parametrize("argv, fragment", [
         (["--code", "turbo9000", "--ebn0", "4"], "unknown code"),
         (["--code", "bch127", "--ebn0", "4:0:5"], "step must be positive"),
+        (["--code", "bch127", "--ebn0", "nan"], "ebn0 values must be finite, got 'nan'"),
+        (["--code", "bch127", "--ebn0=-inf"], "ebn0 values must be finite, got '-inf'"),
+        (["--code", "bch127", "--ebn0", "0:1:inf"], "ebn0 values must be finite"),
         (["--code", "bch127", "--ebn0", "4", "--compare", "grandab(ab=2)"],
          "at least two"),
         (["--code", "bch127", "--ebn0", "4", "--compare",

@@ -276,16 +276,17 @@ class TestBatchedSoftSearch:
         pos = search(engine, frames, cols)
         assert pos.tolist() == [first_match(engine, p, cols, t) for _, p, t in frames]
 
-    @pytest.mark.parametrize("rows, message", [
-        ([[0, 1], [0, 32]], "before its prefix"),
-        ([[0, 32], [1, 2]], "lacks"),
-    ], ids=["parent-later", "parent-missing"])
-    def test_rejects_streams_without_the_prefix_property(self, rows, message):
+    @pytest.mark.parametrize("rows, parent, message", [
+        ([[0, 1], [0, 32]], [1, -1], "not an earlier row"),
+        ([[0, 32], [1, 2]], [-1, 0], "not its prefix"),
+        ([[0, 32]], [-2], "not an earlier row"),
+    ], ids=["parent-later", "parent-missing", "parent-below-empty"])
+    def test_rejects_streams_without_the_prefix_property(self, rows, parent, message):
         class HandBuilt:
             uses_sorting = True
 
             def rank_table(self, n):
-                return np.array(rows, dtype=np.int32)
+                return np.array(rows, dtype=np.int32), np.array(parent, dtype=np.int32)
 
         with pytest.raises(ValueError, match=message):
             SoftEngine(build_ca_polar(32, 20, crc=None), HandBuilt())

@@ -17,13 +17,13 @@ from stepgrand.patterns import (
     build_step_schedule,
     distinct_partitions,
     grandab_teps,
+    grown_table,
     map_ranks,
     max_logistic_weight,
     orbgrand_count,
     orbgrand_teps,
     sort_reliability,
     step_grand_teps,
-    subset_table,
 )
 
 
@@ -111,12 +111,17 @@ def test_step_stream_order_and_bounds():
 
 
 @pytest.mark.parametrize("size", range(9))
-def test_subset_table_matches_combinations(size):
-    for w in range(size + 2):
-        combos = list(itertools.combinations(range(size), w))
-        table = subset_table(size, w)
-        assert table.dtype == np.int32 and table.shape == (len(combos), w)
-        assert [tuple(row) for row in table.tolist()] == combos
+def test_grown_table_matches_combinations(size):
+    # ranks grow below size; pads are n = size + 2, so room, not n, bounds them
+    n = size + 2
+    for p in range(size + 2):
+        combos = [c for w in range(1, p + 1) for c in itertools.combinations(range(size), w)]
+        table, parent = grown_table(n, p, lambda k, sums: size)
+        width = max(min(p, size), 1)
+        assert table.dtype == np.int32 and table.shape == (len(combos), width)
+        assert parent.dtype == np.int32 and parent.shape == (len(combos),)
+        assert [tuple(r for r in row if r < n) for row in table.tolist()] == combos
+        assert [combos.index(c[:-1]) if len(c) > 1 else -1 for c in combos] == parent.tolist()
 
 
 def test_grandab_small_and_empty():
@@ -225,12 +230,16 @@ RANK_TABLE_CASES = [
 
 @pytest.mark.parametrize("n, spec", RANK_TABLE_CASES, ids=str)
 def test_rank_table_is_the_stream(n, spec):
-    table = spec.rank_table(n)
+    table, parent = spec.rank_table(n)
     stream = [tep.ranks for tep in spec.teps(n)]
     width = max(map(len, stream), default=1)
     assert table.dtype == np.int32 and table.shape == (len(stream), width)
     assert [tuple(r + 1 for r in row if r < n) for row in table.tolist()] == stream
     assert (np.sort(table, axis=1) == table).all()  # pads of n last
+    # each pattern's parent is the stream index of the pattern minus its top rank
+    index = {ranks: i for i, ranks in enumerate(stream)}
+    assert parent.dtype == np.int32
+    assert parent.tolist() == [index[ranks[:-1]] if len(ranks) > 1 else -1 for ranks in stream]
 
 
 def python_int_orbgrand_count(n, lw, p):

@@ -251,6 +251,12 @@ class TestConfigValidation:
             SweepConfig(code=code, variants=(GrandabSpec(1),),
                         ebn0_db=(1.0,), workers=0)
 
+    @pytest.mark.parametrize("ebn0", [math.nan, -math.inf, math.inf])
+    def test_rejects_non_finite_ebn0(self, ebn0):
+        with pytest.raises(ValueError, match="ebn0_db values must be finite"):
+            SweepConfig(code=identity_code(8), variants=(GrandabSpec(1),),
+                        ebn0_db=(1.0, ebn0))
+
     def test_rejects_pattern_tables_above_the_limit(self):
         code = identity_code(128)
         SweepConfig(code=code, variants=(GrandabSpec(4),), ebn0_db=(1.0,))
