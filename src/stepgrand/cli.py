@@ -151,8 +151,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_ebn0(argv: list[str]) -> list[str]:
+    """Join each `--ebn0 VALUE` pair into `--ebn0=VALUE`: argparse takes a
+    separate value that starts with '-' and is not a plain number, such as
+    -1:1:2 or -2,-1, for a flag."""
+    joined = []
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token == "--ebn0" else None
+        joined.append(token if value is None else f"--ebn0={value}")
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _attach_ebn0(sys.argv[1:] if argv is None else argv))
     try:
         code = resolve_code(args.code)
         ebn0 = parse_ebn0(args.ebn0)

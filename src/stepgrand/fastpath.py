@@ -79,7 +79,7 @@ class _RankPatterns:
         self.code = code
         self.spec = spec
         self.rank_index = rank_index
-        self.weights = (rank_index < code.n).sum(axis=1, dtype=np.int8)
+        self.weights = np.einsum("ij->i", rank_index < code.n, dtype=np.int8)
         self.pattern_count = len(rank_index)
 
     def hit_ranks(self, stream_position: int) -> tuple[int, ...]:

@@ -14,7 +14,8 @@ an abandonment; bit errors on failed frames come from the recovered message
 (falling back to the hard-decision word when no codeword was found). Cycle
 statistics exist only for the stepped-schedule variant on power-of-two block
 lengths: the average uses the pipelined per-frame counter, worst-case
-figures use full frame latency.
+figures use full frame latency. Encoding and message recovery are float32
+matrix products reduced to GF(2) bits by an integer `& 1`.
 
 Each chunk runs every variant through the same engine contract of
 `fastpath` (stream positions, then flip masks) and takes its cycle counts
@@ -190,9 +191,16 @@ def _init_worker(code: LinearCode, variants: tuple[DecoderSpec, ...],
     )
 
 
+def _gf2_product(a: np.ndarray, g32: np.ndarray) -> np.ndarray:
+    """The GF(2) product of 0/1 rows a and a 0/1 matrix, as uint8 bits."""
+    # exact in float32: every partial sum is an integer <= a's width < 2**24;
+    # cast via int32, since a float above 255 cast to uint8 is undefined in C
+    return ((a.astype(np.float32) @ g32).astype(np.int32) & 1).astype(np.uint8)
+
+
 def _bit_errors(words: np.ndarray, msgs: np.ndarray) -> int:
     """Bit errors of the messages recovered from the given hard words."""
-    recovered = (words.astype(np.float32) @ _STATE["g_inv32"]) % 2
+    recovered = _gf2_product(words, _STATE["g_inv32"])
     return int((recovered != msgs).sum())
 
 
@@ -207,13 +215,13 @@ def _run_chunk(point_index: int, chunk_index: int, ebn0_db: float,
     # messages are drawn for the full chunk whatever frames_used is, so a
     # partial chunk's noise starts where a full chunk's does in the stream
     msgs = rng.integers(0, 2, size=(CHUNK_FRAMES, k), dtype=np.uint8)[:frames_used]
-    cw = (msgs.astype(np.float32) @ _STATE["g32"]) % 2
+    cw = _gf2_product(msgs, _STATE["g32"])
     received = transmit(cw, ChannelConfig(ebn0_db, k / n), rng)
     if _STATE["quantize"]:
         received = quantize(received)
     llr = received.llr
     hard = (llr < 0).astype(np.uint8)
-    e_true = (hard ^ cw.astype(np.uint8)).astype(bool)
+    e_true = hard ^ cw
 
     s_int = np.bitwise_xor.reduce(_STATE["cols"] * hard, axis=1)
     nonclean = np.flatnonzero(s_int != 0)

@@ -74,6 +74,14 @@ def test_transmit_batch_draws_rows_in_order():
     assert np.array_equal(batch, np.array(rows))
 
 
+def test_transmit_reads_uint8_and_float_words_alike():
+    cfg = ChannelConfig(5.0, 0.82)
+    bits = np.random.default_rng(2).integers(0, 2, (4, 16), dtype=np.uint8)
+    a = transmit(bits, cfg, np.random.default_rng(42)).llr
+    b = transmit(bits.astype(np.float32), cfg, np.random.default_rng(42)).llr
+    assert np.array_equal(a, b)
+
+
 def test_quantizer_pinned_values():
     v = SoftVector(np.array([0.06, -0.3125, 10.0, -10.0, 0.0, 1.875, -0.0625]))
     q = quantize(v)

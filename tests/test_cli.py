@@ -101,11 +101,30 @@ class TestMainCommand:
         assert rc == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("ebn0, points", [
+        ("-1:1:2", ["-1", "0", "1", "2"]),
+        ("-2,-1", ["-2", "-1"]),
+    ])
+    def test_negative_ebn0_as_separate_value(self, dense_code_path, capsys,
+                                             ebn0, points):
+        rc = main([
+            "--code", f"dense:{dense_code_path}", "--decoder", "grandab",
+            "--ab", "1", "--ebn0", ebn0, "--min-frame-errors", "1",
+            "--max-frames", "1024",
+        ])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"# ebn0_db={','.join(points)}" in lines
+        rows = [ln for ln in lines if not ln.startswith(("#", "ebn0_db"))]
+        assert [row.split(",")[0] for row in rows] == points
+
     @pytest.mark.parametrize("argv, fragment", [
         (["--code", "turbo9000", "--ebn0", "4"], "unknown code"),
         (["--code", "bch127", "--ebn0", "4:0:5"], "step must be positive"),
         (["--code", "bch127", "--ebn0", "nan"], "ebn0 values must be finite, got 'nan'"),
         (["--code", "bch127", "--ebn0=-inf"], "ebn0 values must be finite, got '-inf'"),
+        (["--code", "bch127", "--ebn0", "-inf"],
+         "ebn0 values must be finite, got '-inf'"),
         (["--code", "bch127", "--ebn0", "0:1:inf"], "ebn0 values must be finite"),
         (["--code", "bch127", "--ebn0", "4", "--compare", "grandab(ab=2)"],
          "at least two"),

@@ -314,6 +314,43 @@ class TestWideSyndromes:
         assert step.avg_cycles is None  # n = 127 has no cycle model
 
 
+@pytest.fixture(scope="module", params=["capolar128", "bch127", "bch511"])
+def parity_code(request):
+    # bch(511,493) has k > 255, so an encoder product can exceed a byte
+    return {"capolar128": lambda: build_ca_polar(128, 105),
+            "bch127": lambda: build_bch(7, 3),
+            "bch511": lambda: build_bch(9, 2)}[request.param]()
+
+
+def edge_and_random_rows(width: int, seed: int) -> np.ndarray:
+    rows = np.random.default_rng(seed).integers(0, 2, (40, width), dtype=np.uint8)
+    rows[0], rows[1] = 0, 1
+    return rows
+
+
+class TestGf2Product:
+    def test_encoder_matches_reference_encode(self, parity_code):
+        code = parity_code
+        msgs = edge_and_random_rows(code.k, 3)
+        g32 = code.generator.to_array().astype(np.float32)
+        cw = sim._gf2_product(msgs, g32)
+        assert cw.dtype == np.uint8
+        expected = [code.encode(BitWord.from_array(m)).to_array() for m in msgs]
+        assert np.array_equal(cw, np.array(expected))
+
+    def test_bit_errors_match_reference_recovery(self, parity_code, monkeypatch):
+        code = parity_code
+        words = edge_and_random_rows(code.n, 4)
+        msgs = edge_and_random_rows(code.k, 5)
+        g_inv32 = code.generator_right_inverse.to_array().astype(np.float32)
+        monkeypatch.setattr(sim, "_STATE", {"g_inv32": g_inv32})
+        expected = sum(
+            int((code.recover_message(BitWord.from_array(w)).to_array() != m).sum())
+            for w, m in zip(words, msgs)
+        )
+        assert sim._bit_errors(words, msgs) == expected
+
+
 class TestStatisticsHelpers:
     def test_wilson_interval_known_value(self):
         lo, hi = wilson_interval(50, 100)
