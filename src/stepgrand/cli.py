@@ -152,13 +152,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _attach_ebn0(argv: list[str]) -> list[str]:
-    """Join each `--ebn0 VALUE` pair into `--ebn0=VALUE`: argparse takes a
+    """Join each `--ebn0 VALUE` pair into `--ebn0=VALUE`, also where the flag
+    is abbreviated as argparse allows (--e, --eb, --ebn): argparse takes a
     separate value that starts with '-' and is not a plain number, such as
     -1:1:2 or -2,-1, for a flag."""
     joined = []
     tokens = iter(argv)
     for token in tokens:
-        value = next(tokens, None) if token == "--ebn0" else None
+        is_ebn0 = len(token) > 2 and "--ebn0".startswith(token)
+        value = next(tokens, None) if is_ebn0 else None
         joined.append(token if value is None else f"--ebn0={value}")
     return joined
 

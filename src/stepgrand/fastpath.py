@@ -17,9 +17,10 @@ position holding that rank in frame i; engines that do not sort ignore it.
 Hardware time steps are not the engines' business: `hwmodel` maps stream
 positions to steps.
 
-HardEngine serves the hard-input weight order: pattern syndromes are
-frame-independent, so each weight class is precomputed and sorted once; a
-search is one binary search per weight class.
+HardEngine serves the hard-input weight order, whose pattern syndromes are
+frame-independent: one table holds every pattern's syndrome, sorted stably so
+equal syndromes keep stream order, and a search is one binary search whose
+leftmost match is the frame's first hit.
 
 SoftEngine serves every reliability-sorted stream (orbgrand and the stepped
 schedule), whose syndromes depend on the per-frame reliability permutation,
@@ -33,7 +34,6 @@ that are some row's parent keep their syndrome.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,44 +118,36 @@ class _RankPatterns:
 
 
 class HardEngine(_RankPatterns):
-    """Weight-ordered hard-input sweep with per-weight syndrome tables; spec
-    is a grandab spec, whose max_weight bounds the weight classes."""
+    """Hard-input search of a frame-independent stream (grandab) through one
+    table of every pattern's syndrome, stably sorted: equal syndromes keep
+    stream order, so a target's leftmost match is its first hit."""
 
     def __init__(self, code: LinearCode, spec: DecoderSpec):
         super().__init__(code, spec, spec.rank_table(code.n)[0])
         cols = packed_parity_columns(code)
-        self.weight_tables = []
-        offset = 0
-        for w in range(1, spec.max_weight + 1):
-            positions = self.rank_index[offset:offset + math.comb(code.n, w), :w]
-            syn = np.bitwise_xor.reduce(cols[positions], axis=1)
-            order = np.argsort(syn, kind="stable")
-            self.weight_tables.append(
-                {
-                    "positions": positions,
-                    "sorted_syn": syn[order],
-                    "order": order.astype(np.int64),
-                    "offset": offset,
-                }
-            )
-            offset += len(positions)
+        cols = np.append(cols, cols.dtype.type(0))  # the pad rank n flips nothing
+        syn = cols[self.rank_index[:, 0]]
+        for j in range(1, self.rank_index.shape[1]):
+            syn ^= cols[self.rank_index[:, j]]
+        # int32 rows: tables stop at 2**25 patterns
+        self.order = np.argsort(syn, kind="stable").astype(np.int32)
+        self.sorted_syn = syn[self.order]
+
+    @property
+    def weight_tables(self) -> list[dict]:
+        """The engine's own arrays under the keys bench/layers.py sizes for
+        its `--trace 1` table bytes; goes when that trace reads the engine's
+        arrays directly."""
+        return [{"positions": self.rank_index, "sorted_syn": self.sorted_syn,
+                 "order": self.order}]
 
     def search(self, perms, columns, targets: np.ndarray) -> np.ndarray:
         """Stream position of the first match per nonzero frame syndrome,
         -1 when abandoned; perms and columns are not needed."""
-        pos = np.full(len(targets), -1, dtype=np.int64)
-        unresolved = np.arange(len(targets))
-        for table in self.weight_tables:
-            if unresolved.size == 0:
-                break
-            s = targets[unresolved]
-            at = np.searchsorted(table["sorted_syn"], s, side="left")
-            at_clipped = np.minimum(at, len(table["sorted_syn"]) - 1)
-            hit = table["sorted_syn"][at_clipped] == s
-            hit &= at < len(table["sorted_syn"])
-            pos[unresolved[hit]] = table["offset"] + table["order"][at_clipped[hit]]
-            unresolved = unresolved[~hit]
-        return pos
+        if not self.pattern_count:
+            return np.full(len(targets), -1, dtype=np.int64)
+        at = np.minimum(np.searchsorted(self.sorted_syn, targets), self.pattern_count - 1)
+        return np.where(self.sorted_syn[at] == targets, self.order[at], -1).astype(np.int64)
 
     def decode_frames(self, syndromes: np.ndarray) -> list[HitReport]:
         """Resolve a batch of nonzero frame syndromes in stream order."""

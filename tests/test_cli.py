@@ -1,6 +1,6 @@
 import pytest
 
-from stepgrand.cli import main, parse_ebn0, parse_variant
+from stepgrand.cli import build_parser, main, parse_ebn0, parse_variant
 from stepgrand.codes import build_bch, save_alist, save_dense_generator
 from stepgrand.decoder import GrandabSpec, OrbgrandSpec, StepGrandSpec
 
@@ -101,15 +101,17 @@ class TestMainCommand:
         assert rc == 0
         assert out.exists()
 
-    @pytest.mark.parametrize("ebn0, points", [
-        ("-1:1:2", ["-1", "0", "1", "2"]),
-        ("-2,-1", ["-2", "-1"]),
+    @pytest.mark.parametrize("flag, ebn0, points", [
+        ("--ebn0", "-1:1:2", ["-1", "0", "1", "2"]),
+        ("--ebn0", "-2,-1", ["-2", "-1"]),
+        ("--ebn", "-1:1:2", ["-1", "0", "1", "2"]),
+        ("--eb", "-2,-1", ["-2", "-1"]),
     ])
     def test_negative_ebn0_as_separate_value(self, dense_code_path, capsys,
-                                             ebn0, points):
+                                             flag, ebn0, points):
         rc = main([
             "--code", f"dense:{dense_code_path}", "--decoder", "grandab",
-            "--ab", "1", "--ebn0", ebn0, "--min-frame-errors", "1",
+            "--ab", "1", flag, ebn0, "--min-frame-errors", "1",
             "--max-frames", "1024",
         ])
         assert rc == 0
@@ -117,6 +119,13 @@ class TestMainCommand:
         assert f"# ebn0_db={','.join(points)}" in lines
         rows = [ln for ln in lines if not ln.startswith(("#", "ebn0_db"))]
         assert [row.split(",")[0] for row in rows] == points
+
+    @pytest.mark.parametrize("prefix", ["--e", "--eb", "--ebn", "--ebn0"])
+    def test_every_ebn0_prefix_is_ebn0(self, prefix):
+        # _attach_ebn0 joins the value of every such prefix; a new flag
+        # starting with --e would make a short prefix ambiguous
+        args = build_parser().parse_args(["--code", "bch127", prefix, "4"])
+        assert args.ebn0 == "4"
 
     @pytest.mark.parametrize("argv, fragment", [
         (["--code", "turbo9000", "--ebn0", "4"], "unknown code"),

@@ -65,9 +65,27 @@ class TestHardEngine:
         assert [engine.hit_ranks(row) for row in range(len(stream))] == stream
         assert engine.weights.tolist() == [len(r) for r in stream]
         assert (engine.rank_index[engine.weights == 1, 1:] == code.n).all()
-        for w, table in enumerate(engine.weight_tables, start=1):
-            assert np.shares_memory(table["positions"], engine.rank_index)
-            assert table["positions"].shape[1] == w
+        # one table: syndromes nondecreasing, and order a permutation of the
+        # rows that ascends within each run of equal syndromes
+        cols = packed_parity_columns(code)
+        syn = [int(np.bitwise_xor.reduce(cols[[r - 1 for r in ranks]], initial=0))
+               for ranks in stream]
+        assert engine.order.dtype == np.int32
+        assert sorted(engine.order.tolist()) == list(range(len(stream)))
+        assert engine.sorted_syn.tolist() == [syn[row] for row in engine.order]
+        assert (np.diff(engine.sorted_syn) >= 0).all()
+        same = np.diff(engine.sorted_syn) == 0
+        assert (np.diff(engine.order)[same] > 0).all()
+        # the view the benchmark's trace sizes holds the engine's own arrays
+        (table,) = engine.weight_tables
+        assert table["positions"] is engine.rank_index
+        assert table["sorted_syn"] is engine.sorted_syn
+        assert table["order"] is engine.order
+
+    def test_empty_stream_abandons_every_frame(self):
+        engine = HardEngine(build_bch(4, 2), GrandabSpec(max_weight=0))
+        pos = engine.search(None, None, np.array([1, 6, 255], dtype=np.int32))
+        assert pos.dtype == np.int64 and pos.tolist() == [-1, -1, -1]
 
     def test_flip_mask_ignores_perms(self):
         code = build_bch(4, 2)

@@ -536,6 +536,43 @@ GOLDEN_STEPPED = (
 )
 
 
+# capolar128 under grandab(ab=3) at 4 and 5 dB: 3506 nonclean frames, of
+# which 1032, 1079 and 781 hit at weights 1, 2 and 3 and 614 run the
+# 349,632-pattern stream out
+GOLDEN_GRANDAB = (
+    "# stepgrand sweep\n"
+    "# code=capolar(128,105+11) n=128 k=105\n"
+    "# variant=grandab(ab=3)\n"
+    "# ebn0_db=4,5\n"
+    "# seed=43 min_frame_errors=1000000000 max_frames=2048 quantize=0 chunk_frames=1024\n"
+    "# queries include the initial hard-decision membership test\n"
+    "# avg_cycles: pipelined per-frame counter (sorter stages overlapped);"
+    " wc_cycles_obs: full frame latency; cycles are modeled only for the"
+    " stepped-schedule variant on power-of-two block lengths\n"
+    "ebn0_db,frames,frame_errors,bit_errors,fer,ber,avg_queries,avg_cycles,"
+    "wc_queries_obs,wc_cycles_obs,capped\n"
+    "4,2048,567,28787,2.768555e-01,1.338681e-01,131026.580566,,349633,,1\n"
+    "5,2048,119,5689,5.810547e-02,2.645554e-02,40082.026367,,349633,,1\n"
+)
+
+# grandab(ab=0) has an empty stream: every nonclean frame is abandoned at
+# its first query; 1500 frames end in a partial chunk
+GOLDEN_GRANDAB_EMPTY = (
+    "# stepgrand sweep\n"
+    "# code=capolar(32,20+0) n=32 k=20\n"
+    "# variant=grandab(ab=0)\n"
+    "# ebn0_db=5\n"
+    "# seed=17 min_frame_errors=1000000000 max_frames=1500 quantize=0 chunk_frames=1024\n"
+    "# queries include the initial hard-decision membership test\n"
+    "# avg_cycles: pipelined per-frame counter (sorter stages overlapped);"
+    " wc_cycles_obs: full frame latency; cycles are modeled only for the"
+    " stepped-schedule variant on power-of-two block lengths\n"
+    "ebn0_db,frames,frame_errors,bit_errors,fer,ber,avg_queries,avg_cycles,"
+    "wc_queries_obs,wc_cycles_obs,capped\n"
+    "5,1500,754,4268,5.026667e-01,1.422667e-01,1.000000,,1,,1\n"
+)
+
+
 class TestGoldenCsv:
     # two points on capolar(32,20): 3 dB stops after one chunk, 5 dB runs
     # into the 2500-frame cap (two full chunks and a partial one); the
@@ -569,6 +606,25 @@ class TestGoldenCsv:
         )
         run_sweep(cfg, out=out)
         assert out.read_text() == GOLDEN_STEPPED
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grandab_bytes(self, tmp_path, workers):
+        out = tmp_path / "grandab.csv"
+        cfg = SweepConfig(
+            code=build_ca_polar(128, 105), variants=(GrandabSpec(3),),
+            ebn0_db=(4.0, 5.0), min_frame_errors=10**9,
+            max_frames=2 * CHUNK_FRAMES, seed=43, workers=workers,
+        )
+        run_sweep(cfg, out=out)
+        assert out.read_text() == GOLDEN_GRANDAB
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_empty_grandab_stream_bytes(self, tmp_path, workers):
+        out = tmp_path / "empty.csv"
+        cfg = replace(self.config(GrandabSpec(0)), ebn0_db=(5.0,),
+                      min_frame_errors=10**9, max_frames=1500, workers=workers)
+        run_sweep(cfg, out=out)
+        assert out.read_text() == GOLDEN_GRANDAB_EMPTY
 
     def test_compare_bytes_and_discord(self, tmp_path):
         out = tmp_path / "compare.csv"
