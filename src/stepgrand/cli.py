@@ -53,7 +53,11 @@ def parse_ebn0(text: str) -> tuple[float, ...]:
     if stop < start:
         raise ValueError("ebn0 stop must not be below start")
     count = int((stop - start) / step + 1e-9) + 1
-    return tuple(round(start + i * step, 9) for i in range(count))
+    points = tuple(round(start + i * step, 9) for i in range(count))
+    if any(b <= a for a, b in zip(points, points[1:])):
+        raise ValueError(f"ebn0 step of {text!r} is below the 1e-9 dB"
+                         " resolution, so points repeat")
+    return points
 
 
 def parse_variant(text: str) -> DecoderSpec:
@@ -68,13 +72,16 @@ def parse_variant(text: str) -> DecoderSpec:
             if not item.strip():
                 continue
             key, sep, value = item.partition("=")
+            key = key.strip()
             if not sep:
                 raise ValueError(f"bad variant parameter {item!r} in {text!r}")
+            if key in kwargs:
+                raise ValueError(f"variant parameter {key!r} given twice in {text!r}")
             try:
-                kwargs[key.strip()] = int(value)
+                kwargs[key] = int(value)
             except ValueError:
                 raise ValueError(
-                    f"variant parameter {key.strip()!r} needs an integer,"
+                    f"variant parameter {key!r} needs an integer,"
                     f" got {value.strip()!r}"
                 ) from None
     if name == "grandab":

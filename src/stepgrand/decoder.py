@@ -21,9 +21,8 @@ import numpy as np
 
 from .channel import SoftVector, harden
 from .codes import LinearCode
-from .gf2 import BitWord, mat_vec
+from .gf2 import BitWord
 from .patterns import (
-    SortedReliability,
     StepSchedule,
     Tep,
     build_step_schedule,
@@ -120,12 +119,8 @@ def decode(
             trace=DecodeTrace(outcome=CLEAN),
         )
 
-    sorted_rel: SortedReliability | None = None
-    if uses_sorting:
-        sorted_rel = sort_reliability(v)
-    table = syndrome_precompute(
-        code, sorted_rel.perm if sorted_rel is not None else None
-    )
+    perm = sort_reliability(v.llr) if uses_sorting else None
+    table = syndrome_precompute(code, perm)
 
     for position, tep in enumerate(teps):
         queries += 1
@@ -135,10 +130,10 @@ def decode(
                 guess ^= table[r - 1]
             found = guess == s0.value
         else:
-            e = map_ranks(tep, code.n, sorted_rel)
+            e = map_ranks(tep, code.n, perm)
             found = code.syndrome(y ^ e).is_zero()
         if found:
-            e = map_ranks(tep, code.n, sorted_rel)
+            e = map_ranks(tep, code.n, perm)
             cw = y ^ e
             return DecodeResult(
                 message=code.recover_message(cw),

@@ -33,7 +33,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .channel import SoftVector
 from .gf2 import BitWord, word_from_indices
 
 
@@ -299,34 +298,21 @@ def orbgrand_table(n: int, lw_max: int | None, p_max: int | None
     return table[order], moved[parent[order]]
 
 
-@dataclass(frozen=True)
-class SortedReliability:
-    """Rank-to-position map for one frame.
-
-    perm[i] is the 0-based channel position holding reliability rank i+1;
-    abs_llr[i] is that position's |llr|, so abs_llr is nondecreasing.
-    """
-
-    perm: np.ndarray
-    abs_llr: np.ndarray
+def sort_reliability(llr: np.ndarray) -> np.ndarray:
+    """Per frame of llr, (n,) or (m, n), the positions by |llr| ascending,
+    stably (ties keep channel order): perm[..., i] holds rank i+1."""
+    return np.argsort(np.abs(llr), axis=-1, kind="stable")
 
 
-def sort_reliability(v: SoftVector) -> SortedReliability:
-    """Stable sort of positions by |llr| ascending (ties keep channel order)."""
-    mags = np.abs(v.llr)
-    perm = np.argsort(mags, kind="stable")
-    return SortedReliability(perm=perm, abs_llr=mags[perm])
-
-
-def map_ranks(tep: Tep, n: int, sorted_rel: SortedReliability | None = None) -> BitWord:
+def map_ranks(tep: Tep, n: int, perm: np.ndarray | None = None) -> BitWord:
     """Noise word with ones at the channel positions of the pattern's ranks.
 
     Without a reliability sort, rank r means channel position r-1.
     """
     if tep.ranks and tep.ranks[-1] > n:
         raise ValueError(f"rank {tep.ranks[-1]} out of range for n={n}")
-    if sorted_rel is None:
+    if perm is None:
         positions = [r - 1 for r in tep.ranks]
     else:
-        positions = [int(sorted_rel.perm[r - 1]) for r in tep.ranks]
+        positions = [int(perm[r - 1]) for r in tep.ranks]
     return BitWord(n, word_from_indices(n, positions))

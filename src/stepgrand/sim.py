@@ -17,7 +17,9 @@ lengths: the average uses the pipelined per-frame counter, worst-case
 figures use full frame latency. Encoding and message recovery are float32
 matrix products reduced to GF(2) bits by an integer `& 1`.
 
-Each chunk runs every variant through the same engine contract of
+A chunk is a frame source, `_awgn_frames` (messages, encoder, channel), fed
+into a decoder stage, `_decode_chunk`, which takes the syndromes and one
+reliability sort and runs every variant through the same engine contract of
 `fastpath` (stream positions, then flip masks) and takes its cycle counts
 from `hwmodel`'s step table, indexed by those stream positions. A chunk
 returns its statistics as int64 arrays with one row per variant: sums
@@ -40,11 +42,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .channel import ChannelConfig, quantize, transmit
+from .channel import ChannelConfig, SoftVector, harden, quantize, transmit
 from .codes import LinearCode
 from .decoder import DecoderSpec, StepGrandSpec
 from .fastpath import build_engine, packed_parity_columns
 from .hwmodel import LatencyModel
+from .patterns import sort_reliability
 
 CHUNK_FRAMES = 1024
 _MASK64 = (1 << 64) - 1
@@ -206,12 +209,18 @@ def _bit_errors(words: np.ndarray, msgs: np.ndarray) -> int:
 
 def _run_chunk(point_index: int, chunk_index: int, ebn0_db: float,
                frames_used: int, seed: int):
-    n, k = _STATE["n"], _STATE["k"]
     # uint64 explicitly: a Python list holding a seed of 2**63 or more would
     # be cast through float64 and lose the seed's low bits
     key = np.array([seed, ((point_index << 32) | chunk_index) & _MASK64],
                    dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
+    return _decode_chunk(*_awgn_frames(rng, ebn0_db, frames_used))
+
+
+def _awgn_frames(rng: np.random.Generator, ebn0_db: float, frames_used: int
+                 ) -> tuple[np.ndarray, np.ndarray, SoftVector]:
+    """Random messages, their codewords and the (quantized) channel LLRs."""
+    n, k = _STATE["n"], _STATE["k"]
     # messages are drawn for the full chunk whatever frames_used is, so a
     # partial chunk's noise starts where a full chunk's does in the stream
     msgs = rng.integers(0, 2, size=(CHUNK_FRAMES, k), dtype=np.uint8)[:frames_used]
@@ -219,11 +228,21 @@ def _run_chunk(point_index: int, chunk_index: int, ebn0_db: float,
     received = transmit(cw, ChannelConfig(ebn0_db, k / n), rng)
     if _STATE["quantize"]:
         received = quantize(received)
-    llr = received.llr
-    hard = (llr < 0).astype(np.uint8)
+    return msgs, cw, received
+
+
+def _syndromes(hard: np.ndarray) -> np.ndarray:
+    """Packed syndromes of the rows of hard, one int64 per word."""
+    return np.bitwise_xor.reduce(_STATE["cols"] * hard, axis=1)
+
+
+def _decode_chunk(msgs: np.ndarray, cw: np.ndarray, received: SoftVector):
+    """Every variant on the same frames, as (frames, sums, peaks, discord)."""
+    frames_used = len(msgs)
+    hard = harden(received)
     e_true = hard ^ cw
 
-    s_int = np.bitwise_xor.reduce(_STATE["cols"] * hard, axis=1)
+    s_int = _syndromes(hard)
     nonclean = np.flatnonzero(s_int != 0)
     targets = s_int[nonclean]
     e_nonclean = e_true[nonclean]
@@ -232,7 +251,7 @@ def _run_chunk(point_index: int, chunk_index: int, ebn0_db: float,
 
     perms = None
     if _STATE["sorting"]:
-        perms = np.argsort(np.abs(llr[nonclean]), axis=1, kind="stable")
+        perms = sort_reliability(received.llr[nonclean])
 
     v = len(_STATE["engines"])
     sums = np.zeros((v, 4), dtype=np.int64)

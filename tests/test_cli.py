@@ -23,6 +23,12 @@ class TestEbn0Parsing:
         with pytest.raises(ValueError):
             parse_ebn0(text)
 
+    def test_rejects_step_below_the_rounding(self):
+        # rounded to 9 decimals, these points would repeat as 0.0 and 1e-09
+        with pytest.raises(ValueError, match="points repeat"):
+            parse_ebn0("0:1e-10:1e-9")
+        assert parse_ebn0("0:1e-9:3e-9") == (0.0, 1e-9, 2e-9, 3e-9)
+
 
 class TestVariantParsing:
     def test_defaults(self):
@@ -38,6 +44,7 @@ class TestVariantParsing:
 
     @pytest.mark.parametrize("text", [
         "huffman", "stepgrand(q=1)", "grandab(ab=x)", "grandab(ab)", "(a=1)",
+        "stepgrand(a=2,a=3)", "orbgrand(p=4, p=4)",
     ])
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
@@ -139,6 +146,9 @@ class TestMainCommand:
          "at least two"),
         (["--code", "bch127", "--ebn0", "4", "--compare",
           "grandab(ab=2);nosuch"], "unknown decoder"),
+        (["--code", "bch127", "--ebn0", "4", "--compare",
+          "stepgrand(a=2,a=3);grandab"], "variant parameter 'a' given twice"),
+        (["--code", "bch127", "--ebn0", "0:1e-10:1e-9"], "points repeat"),
         (["--code", "bch127", "--ebn0", "4", "--min-frame-errors", "0"],
          "min_frame_errors"),
         (["--code", "capolar128", "--decoder", "grandab", "--ab", "5",

@@ -242,11 +242,11 @@ class TestAdversarialFourFlip:
 
             # independent walk: apply each pattern and test membership
             # directly, no syndrome table involved
-            sorted_rel = sort_reliability(v)
+            perm = sort_reliability(v.llr)
             y = BitWord.from_array((v.llr < 0).astype(np.uint8))
             expected = None
             for i, tep in enumerate(spec.teps(code.n)):
-                e = map_ranks(tep, code.n, sorted_rel)
+                e = map_ranks(tep, code.n, perm)
                 if code.is_codeword(y ^ e):
                     expected = (i, tep.ranks)
                     break

@@ -8,10 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from stepgrand.channel import SoftVector
 from stepgrand.decoder import GrandabSpec, OrbgrandSpec, StepGrandSpec
 from stepgrand.patterns import (
-    SortedReliability,
     StepSchedule,
     Tep,
     build_step_schedule,
@@ -268,20 +266,29 @@ def test_orbgrand_part_cap_small_n():
 
 
 def test_sort_reliability_example_and_stability():
-    v = SoftVector(np.array([-0.1, 2.0, 0.05, -1.0]))
-    s = sort_reliability(v)
-    assert s.perm.tolist() == [2, 0, 3, 1]
-    assert np.all(np.diff(s.abs_llr) >= 0)
-    flat = sort_reliability(SoftVector(np.ones(6)))
-    assert flat.perm.tolist() == list(range(6))  # stable: ties keep position order
+    llr = np.array([-0.1, 2.0, 0.05, -1.0])
+    perm = sort_reliability(llr)
+    assert perm.tolist() == [2, 0, 3, 1]
+    assert np.all(np.diff(np.abs(llr)[perm]) >= 0)
+    flat = sort_reliability(np.ones(6))
+    assert flat.tolist() == list(range(6))  # stable: ties keep position order
+    # a batch sorts each row as its own frame, ties and zeros included
+    batch = np.array([[0.0, -0.5, 0.5, 0.0, 1.0],
+                      [2.0, -2.0, 0.0, 2.0, -0.0],
+                      [-0.1, 2.0, 0.05, -1.0, 0.05]])
+    perms = sort_reliability(batch)
+    assert perms.shape == batch.shape
+    assert np.all(np.diff(np.take_along_axis(np.abs(batch), perms, axis=1), axis=1) >= 0)
+    for row, perm_row in zip(batch, perms):
+        assert perm_row.tolist() == sort_reliability(row).tolist()
+    assert perms[1].tolist() == [2, 4, 0, 1, 3]
 
 
 def test_map_ranks_identity_and_sorted():
     t = Tep((1, 3))
     w = map_ranks(t, 4)
     assert str(w) == "1010"
-    s = SortedReliability(perm=np.array([2, 0, 3, 1]), abs_llr=np.zeros(4))
-    w2 = map_ranks(t, 4, s)  # ranks 1,3 -> positions 2,3
+    w2 = map_ranks(t, 4, np.array([2, 0, 3, 1]))  # ranks 1,3 -> positions 2,3
     assert str(w2) == "0011"
     with pytest.raises(ValueError):
         map_ranks(Tep((5,)), 4)

@@ -127,6 +127,103 @@ class TestChunkZeroMirrorsLiteralDecoder:
         assert stats.wc_queries_obs == max(queries)
 
 
+class TestChunkStages:
+    code = build_ca_polar(32, 20, crc=None)
+    # one hard variant without a cycle model, one sorting variant with one
+    variants = (GrandabSpec(1), StepGrandSpec(1, 6, 3))
+
+    def hand_built_frames(self):
+        """Six frames with chosen channel errors and |llr|: clean and right,
+        clean but another codeword, one weak flip, three of a weight-4
+        codeword's positions flipped, two weak flips, one strong flip."""
+        code = self.code
+        w = np.flatnonzero(code.generator.to_array()[2])  # a weight-4 codeword
+        assert w.size == 4
+        msgs = np.random.default_rng(8).integers(0, 2, (6, code.k), dtype=np.uint8)
+        cw = np.array([code.encode(BitWord.from_array(m)).to_array() for m in msgs])
+        err = np.zeros_like(cw)
+        mags = np.full(cw.shape, 8.0)
+        err[1, w] = 1
+        err[2, 5] = 1
+        mags[2, 5] = 0.3
+        err[3, w[:3]] = 1
+        mags[3, w] = [0.3, 0.4, 0.5, 0.6]
+        err[4, [7, 20]] = 1
+        mags[4, [7, 20]] = [0.3, 0.4]
+        err[5, 9] = 1
+        mags[5] = 2.0
+        mags[5, 9] = 8.0
+        return msgs, cw, SoftVector((1.0 - 2.0 * (cw ^ err)) * mags)
+
+    def test_decode_chunk_matches_per_frame_decode(self, monkeypatch):
+        code, variants = self.code, self.variants
+        monkeypatch.setattr(sim, "_STATE", {})
+        sim._init_worker(code, variants, False)
+        msgs, cw, received = self.hand_built_frames()
+        frames, sums, peaks, discord = sim._decode_chunk(msgs, cw, received)
+
+        m, v = len(msgs), len(variants)
+        errors = np.zeros((v, m), dtype=np.int64)
+        want_sums = np.zeros((v, 4), dtype=np.int64)
+        want_peaks = np.zeros((v, 2), dtype=np.int64)
+        kinds = set()
+        for i, spec in enumerate(variants):
+            model = sim._latency_model(spec, code.n)
+            for j, llr in enumerate(received.llr):
+                result = decode(SoftVector(llr), code, spec.teps(code.n),
+                                spec.uses_sorting)
+                msg = BitWord.from_array(msgs[j])
+                wrong = result.abandoned or result.message != msg
+                kinds.add((result.trace.outcome, wrong))
+                errors[i, j] = wrong
+                if wrong:
+                    guessed = result.codeword
+                    if guessed is None:
+                        guessed = BitWord.from_array((llr < 0).astype(np.uint8))
+                    want_sums[i, 1] += (code.recover_message(guessed) ^ msg).weight()
+                want_sums[i, 2] += result.queries
+                want_peaks[i, 0] = max(want_peaks[i, 0], result.queries)
+                if model:
+                    want_sums[i, 3] += model.pipeline_cycles(result.trace)
+                    want_peaks[i, 1] = max(want_peaks[i, 1],
+                                           model.frame_cycles(result.trace))
+            want_sums[i, 0] = errors[i].sum()
+        assert kinds == {(CLEAN, False), (CLEAN, True), (HIT, False), (HIT, True),
+                         (ABANDONED, True)}
+        # each variant errs on a frame the other decodes
+        assert errors[0, 4] and not errors[1, 4]
+        assert errors[1, 5] and not errors[0, 5]
+        assert frames == m
+        assert sums.tolist() == want_sums.tolist()
+        assert peaks.tolist() == want_peaks.tolist()
+        assert discord.tolist() == (errors @ (1 - errors).T).tolist()
+
+    def test_each_stage_runs_once_per_chunk(self, monkeypatch):
+        # wrap each stage by module attribute, as a layer tracer does; a
+        # stage inlined back into _run_chunk would no longer be seen
+        calls = []
+
+        def wrapped(name, fn):
+            def stage(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return stage
+
+        stages = ("_awgn_frames", "_decode_chunk", "_syndromes", "sort_reliability")
+        for name in stages:
+            monkeypatch.setattr(sim, name, wrapped(name, sim.__dict__[name]))
+        cfg = SweepConfig(
+            code=self.code, variants=self.variants, ebn0_db=(3.0,),
+            min_frame_errors=10**9, max_frames=2 * CHUNK_FRAMES + 100, seed=2,
+        )
+        traced = compare_decoders(cfg)
+        # the frame source, then the decoder stage calling the syndrome and
+        # the one reliability sort of the chunk
+        assert calls == list(stages) * 3
+        monkeypatch.undo()
+        assert compare_decoders(cfg) == traced
+
+
 @pytest.fixture(scope="module")
 def small_compare(tmp_path_factory):
     code = build_ca_polar(32, 20, crc=None)
