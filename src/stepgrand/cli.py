@@ -16,7 +16,10 @@ import sys
 
 from .codes import build_bch, build_ca_polar, load_alist, load_dense_generator
 from .decoder import DecoderSpec, GrandabSpec, OrbgrandSpec, StepGrandSpec
-from .sim import SweepConfig, compare_decoders, run_sweep
+from .sim import SweepConfig, compare_decoders, open_output, run_sweep
+
+# each point is a sweep and a CSV row; a range with more is refused unbuilt
+MAX_EBN0_POINTS = 10_000
 
 
 def resolve_code(token: str):
@@ -52,7 +55,10 @@ def parse_ebn0(text: str) -> tuple[float, ...]:
         raise ValueError("ebn0 step must be positive")
     if stop < start:
         raise ValueError("ebn0 stop must not be below start")
-    count = int((stop - start) / step + 1e-9) + 1
+    steps = (stop - start) / step + 1e-9  # inf when the quotient overflows
+    if steps >= MAX_EBN0_POINTS:
+        raise ValueError(f"ebn0 range {text!r} has more than {MAX_EBN0_POINTS} points")
+    count = int(steps) + 1
     points = tuple(round(start + i * step, 9) for i in range(count))
     if any(b <= a for a, b in zip(points, points[1:])):
         raise ValueError(f"ebn0 step of {text!r} is below the 1e-9 dB"
@@ -196,10 +202,10 @@ def main(argv: list[str] | None = None) -> int:
             min_frame_errors=args.min_frame_errors, max_frames=args.max_frames,
             seed=args.seed, quantize=args.quantize, workers=args.workers,
         )
-        if len(variants) == 1:
-            run_sweep(cfg, out=args.out)
-        else:
-            compare_decoders(cfg, out=args.out)
+        run = run_sweep if len(variants) == 1 else compare_decoders
+        # opened before the first chunk, so an unwritable path costs no sweep
+        with open_output(args.out) as out:
+            run(cfg, out=out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

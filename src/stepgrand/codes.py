@@ -377,6 +377,14 @@ def save_alist(code: LinearCode, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _refuse_trailing(path: Path, raw: list[str], used: int) -> None:
+    """Refuse a non-blank line after the `used` lines of declared content."""
+    for lineno, line in enumerate(raw[used:], start=used + 1):
+        if line.strip():
+            raise ValueError(f"{path}:{lineno}: unexpected line after the"
+                             f" declared content: {line!r}")
+
+
 def load_alist(path: str | Path) -> LinearCode:
     """Read a parity check in alist format and build the code it defines.
 
@@ -428,6 +436,7 @@ def load_alist(path: str | Path) -> LinearCode:
                                f"declared weight {row_w[i]}")
         if sorted(vals) != list(np.flatnonzero(h[i]) + 1):
             raise fail(lineno, f"row {i + 1} disagrees with the column lists")
+    _refuse_trailing(path, raw, 4 + n + m)
     return code_from_parity_check(path.stem, BitMatrix.from_array(h))
 
 
@@ -468,4 +477,5 @@ def load_dense_generator(path: str | Path) -> LinearCode:
             raise ValueError(f"{path}:{lineno}: row wider than n={n}")
         bits = format(value, f"0{n}b")
         rows.append(int(bits[::-1], 2))
+    _refuse_trailing(path, raw, 1 + k)
     return code_from_generator(path.stem, BitMatrix(k, n, tuple(rows)))

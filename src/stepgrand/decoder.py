@@ -13,7 +13,6 @@ recomputes every syndrome from scratch as a cross-check path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -26,16 +25,14 @@ from .patterns import (
     StepSchedule,
     Tep,
     build_step_schedule,
-    grandab_count,
-    grandab_table,
-    grandab_teps,
     map_ranks,
     orbgrand_count,
     orbgrand_table,
     orbgrand_teps,
     sort_reliability,
-    step_grand_table,
-    step_grand_teps,
+    subset_count,
+    subset_table,
+    subset_teps,
 )
 
 CLEAN = "clean"
@@ -179,14 +176,19 @@ class GrandabSpec:
     def label(self) -> str:
         return f"grandab(ab={self.max_weight})"
 
+    def gammas(self, n: int) -> tuple[int, ...]:
+        if not 0 <= self.max_weight <= n:
+            raise ValueError(f"max_weight must be in [0, {n}], got {self.max_weight}")
+        return (n,) * self.max_weight
+
     def teps(self, n: int) -> Iterable[Tep]:
-        return grandab_teps(n, self.max_weight)
+        return subset_teps(self.gammas(n))
 
     def rank_table(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        return grandab_table(n, self.max_weight)
+        return subset_table(self.gammas(n), n)
 
     def pattern_count(self, n: int) -> int:
-        return grandab_count(n, self.max_weight)
+        return subset_count(self.gammas(n))
 
 
 @dataclass(frozen=True)
@@ -233,16 +235,17 @@ class StepGrandSpec:
     def schedule(self, n: int | None = None) -> StepSchedule:
         return build_step_schedule(self.alpha, self.beta, self.p_max, n)
 
+    def gammas(self, n: int | None = None) -> tuple[int, ...]:
+        return self.schedule(n).gammas
+
     def teps(self, n: int) -> Iterable[Tep]:
-        return step_grand_teps(self.schedule(n))
+        return subset_teps(self.gammas(n))
 
     def rank_table(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        return step_grand_table(self.schedule(n), n)
+        return subset_table(self.gammas(n), n)
 
     def pattern_count(self, n: int | None = None) -> int:
-        return sum(
-            math.comb(gamma, hw) for gamma, hw in self.schedule(n).entries
-        )
+        return subset_count(self.gammas(n))
 
 
 DecoderSpec = GrandabSpec | OrbgrandSpec | StepGrandSpec

@@ -16,7 +16,7 @@ frame use pipeline_cycles; worst-case figures use frame_cycles.
 This module owns the time-step numbering. `anchor_steps` counts the steps,
 and `LatencyModel.stream_steps` lays them out as one table over the stream
 positions, reading each pattern's anchor off the same table and parents
-that `patterns.step_grand_table` builds for the search engine, so a batch of
+that `patterns.subset_table` builds for the search engine, so a batch of
 search results becomes cycle counts by one lookup
 (`cycles_from_steps(stream_steps[pos])`). The per-trace methods
 `time_step`, `frame_cycles` and `pipeline_cycles` are the readable
@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .decoder import ABANDONED, CLEAN, HIT, DecodeTrace
-from .patterns import StepSchedule, step_grand_table
+from .patterns import StepSchedule, subset_table
 
 
 def combination_rank(values: Sequence[int], n_total: int) -> int:
@@ -91,12 +91,6 @@ class LatencyModel:
     # initial hard-word check + the single-flip step + the two-flip step
     fixed_overhead = 3
 
-    def _subset_size(self, weight: int) -> int:
-        for gamma, hw in self.schedule.entries:
-            if hw == weight:
-                return gamma
-        raise ValueError(f"schedule has no weight-{weight} entry")
-
     @cached_property
     def _anchor_steps(self) -> tuple[dict[int, int], int]:
         return anchor_steps(self.schedule)
@@ -114,7 +108,7 @@ class LatencyModel:
         anchor, its first w - 2 ranks, is its parent's parent in the stream
         table, and a new step starts wherever the anchor changes.
         """
-        table, parent = step_grand_table(self.schedule, self.n)
+        table, parent = subset_table(self.schedule.gammas, self.n)
         w = (table < self.n).sum(axis=1)
         anchor = np.where(w >= 3, parent[parent], -1)
         new = (w >= 3) & (anchor != np.append(-1, anchor[:-1]))
@@ -139,7 +133,9 @@ class LatencyModel:
             raise ValueError("trace weight disagrees with its ranks")
         if trace.weight <= 2:
             return trace.weight
-        gamma = self._subset_size(trace.weight)
+        if trace.weight > len(self.schedule.gammas):
+            raise ValueError(f"schedule has no weight-{trace.weight} entry")
+        gamma = self.schedule.gammas[trace.weight - 1]
         anchor = trace.ranks[: trace.weight - 2]
         return bases[trace.weight] + combination_rank(anchor, gamma - 2)
 

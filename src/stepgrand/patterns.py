@@ -3,10 +3,10 @@
 A pattern is a set of 1-based reliability ranks (rank 1 = least reliable
 position). Streams are lazy generators in a fixed, documented order:
 
-- weight-ordered: all weight-1 patterns over positions, then weight-2, ...,
-  each weight in lexicographic order of ascending tuples (hard-input search);
-- stepped subsets: a schedule of (subset size, weight) entries, weight
-  ascending while the subset of least-reliable ranks shrinks;
+- subsets: weight 1, then 2, ..., weight w over the gamma_w least reliable
+  ranks, each weight in lexicographic order of ascending tuples. A stepped
+  schedule shrinks gamma_w as w grows; the hard-input search takes
+  gamma_w = n for every weight, so its ranks are plain channel positions;
 - logistic-weight ordered: ascending sum of ranks, one level at a time, each
   level emitting partitions into distinct parts, fewer parts first.
 
@@ -17,11 +17,12 @@ first stream hit and the first hardware hit coincide.
 Each stream also has a table form for the engines and the cycle model, built
 in numpy without walking the generator. One builder, `grown_table`, grows
 each (k+1)-set from a k-set, its parent, by a higher rank, and emits every
-weight block in lexicographic order. `grandab_table`, `step_grand_table` and
-`orbgrand_table` differ only in how far a set may grow; orbgrand then sorts
-its sets into stream order. Each returns (table, parent): one row of 0-based
-ranks per stream position, padded with n, and the row of each pattern minus
-its top rank, always an earlier pattern, or -1 for a single flip.
+weight block in lexicographic order. `subset_table` and `orbgrand_table`
+differ only in how far a set may grow: within gamma_w, or while the rank sum
+stays in bound; orbgrand then sorts its sets into stream order. Each returns
+(table, parent): one row of 0-based ranks per stream position, padded with
+n, and the row of each pattern minus its top rank, always an earlier
+pattern, or -1 for a single flip.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,6 +71,10 @@ class StepSchedule:
     beta: int
     p_max: int
     entries: tuple[tuple[int, int], ...]
+
+    @property
+    def gammas(self) -> tuple[int, ...]:
+        return tuple(gamma for gamma, _ in self.entries)
 
 
 def build_step_schedule(
@@ -117,14 +122,6 @@ def build_step_schedule(
     return StepSchedule(alpha, beta, p_max, tuple(entries))
 
 
-def step_grand_teps(schedule: StepSchedule) -> Iterator[Tep]:
-    """All patterns of the schedule: per entry, weight-hw subsets of the gamma
-    least-reliable ranks in lexicographic order."""
-    for gamma, hw in schedule.entries:
-        for combo in itertools.combinations(range(1, gamma + 1), hw):
-            yield Tep(combo)
-
-
 def grown_table(n: int, p: int, room: Callable[[int, np.ndarray], int | np.ndarray]
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Sets of at most p 0-based ranks below n, grown from the empty set, as
@@ -163,36 +160,23 @@ def grown_table(n: int, p: int, room: Callable[[int, np.ndarray], int | np.ndarr
     return table, parent
 
 
-def step_grand_table(schedule: StepSchedule, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """step_grand_teps(schedule) as grown_table's (table, parent): weight
-    k + 1 grows within the gamma of its entry."""
-    gammas = [gamma for gamma, _ in schedule.entries]
-    return grown_table(n, len(gammas), lambda k, sums: gammas[k])
-
-
-def grandab_count(n: int, max_weight: int) -> int:
-    """Length of grandab_teps(n, max_weight); raises what the stream raises."""
-    if not 0 <= max_weight <= n:
-        raise ValueError(f"max_weight must be in [0, {n}], got {max_weight}")
-    return sum(math.comb(n, w) for w in range(1, max_weight + 1))
-
-
-def grandab_teps(n: int, max_weight: int) -> Iterator[Tep]:
-    """Weight-ordered patterns over all n positions, weights 1..max_weight.
-
-    Hard-input search: ranks are plain 1-based channel positions. max_weight=0
-    yields the empty stream (only the unmodified word is ever tested).
-    """
-    grandab_count(n, max_weight)  # checks max_weight
-    for w in range(1, max_weight + 1):
-        for combo in itertools.combinations(range(1, n + 1), w):
+def subset_teps(gammas: Sequence[int]) -> Iterator[Tep]:
+    """Weights 1, 2, ..., len(gammas) in turn: weight w over the gammas[w - 1]
+    least reliable ranks, each weight in lexicographic order."""
+    for w, gamma in enumerate(gammas, start=1):
+        for combo in itertools.combinations(range(1, gamma + 1), w):
             yield Tep(combo)
 
 
-def grandab_table(n: int, max_weight: int) -> tuple[np.ndarray, np.ndarray]:
-    """grandab_teps(n, max_weight) as grown_table's (table, parent)."""
-    grandab_count(n, max_weight)  # checks max_weight
-    return grown_table(n, max_weight, lambda k, sums: n)
+def subset_table(gammas: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """subset_teps(gammas) as grown_table's (table, parent): weight k + 1
+    grows within gammas[k]."""
+    return grown_table(n, len(gammas), lambda k, sums: gammas[k])
+
+
+def subset_count(gammas: Sequence[int]) -> int:
+    """Length of subset_teps(gammas)."""
+    return sum(math.comb(gamma, w) for w, gamma in enumerate(gammas, start=1))
 
 
 def max_logistic_weight(n: int) -> int:

@@ -10,8 +10,10 @@ committed chunk.
 
 Per-frame statistics follow the decoder conventions: query counts include
 the initial hard-word membership test; a frame error is a wrong message or
-an abandonment; bit errors on failed frames come from the recovered message
-(falling back to the hard-decision word when no codeword was found). Cycle
+an abandonment, that is, a nonzero residual: channel errors XOR decoder
+flips (an abandoned frame flips nothing, and its syndrome is nonzero). Its
+bit errors weigh residual * G^-1, the message recovered from the corrected
+word, or from the hard decisions when abandoned, XOR the sent one. Cycle
 statistics exist only for the stepped-schedule variant on power-of-two block
 lengths: the average uses the pipelined per-frame counter, worst-case
 figures use full frame latency. Encoding and message recovery are float32
@@ -201,12 +203,6 @@ def _gf2_product(a: np.ndarray, g32: np.ndarray) -> np.ndarray:
     return ((a.astype(np.float32) @ g32).astype(np.int32) & 1).astype(np.uint8)
 
 
-def _bit_errors(words: np.ndarray, msgs: np.ndarray) -> int:
-    """Bit errors of the messages recovered from the given hard words."""
-    recovered = _gf2_product(words, _STATE["g_inv32"])
-    return int((recovered != msgs).sum())
-
-
 def _run_chunk(point_index: int, chunk_index: int, ebn0_db: float,
                frames_used: int, seed: int):
     # uint64 explicitly: a Python list holding a seed of 2**63 or more would
@@ -218,8 +214,8 @@ def _run_chunk(point_index: int, chunk_index: int, ebn0_db: float,
 
 
 def _awgn_frames(rng: np.random.Generator, ebn0_db: float, frames_used: int
-                 ) -> tuple[np.ndarray, np.ndarray, SoftVector]:
-    """Random messages, their codewords and the (quantized) channel LLRs."""
+                 ) -> tuple[np.ndarray, SoftVector]:
+    """The codewords of random messages and their (quantized) channel LLRs."""
     n, k = _STATE["n"], _STATE["k"]
     # messages are drawn for the full chunk whatever frames_used is, so a
     # partial chunk's noise starts where a full chunk's does in the stream
@@ -228,7 +224,7 @@ def _awgn_frames(rng: np.random.Generator, ebn0_db: float, frames_used: int
     received = transmit(cw, ChannelConfig(ebn0_db, k / n), rng)
     if _STATE["quantize"]:
         received = quantize(received)
-    return msgs, cw, received
+    return cw, received
 
 
 def _syndromes(hard: np.ndarray) -> np.ndarray:
@@ -236,18 +232,15 @@ def _syndromes(hard: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(_STATE["cols"] * hard, axis=1)
 
 
-def _decode_chunk(msgs: np.ndarray, cw: np.ndarray, received: SoftVector):
+def _decode_chunk(cw: np.ndarray, received: SoftVector):
     """Every variant on the same frames, as (frames, sums, peaks, discord)."""
-    frames_used = len(msgs)
+    frames_used = len(cw)
     hard = harden(received)
     e_true = hard ^ cw
 
     s_int = _syndromes(hard)
     nonclean = np.flatnonzero(s_int != 0)
     targets = s_int[nonclean]
-    e_nonclean = e_true[nonclean]
-    # a clean frame with channel errors is a wrong codeword accepted at query 1
-    clean_errors = (s_int == 0) & e_true.any(axis=1)
 
     perms = None
     if _STATE["sorting"]:
@@ -256,19 +249,18 @@ def _decode_chunk(msgs: np.ndarray, cw: np.ndarray, received: SoftVector):
     v = len(_STATE["engines"])
     sums = np.zeros((v, 4), dtype=np.int64)
     peaks = np.zeros((v, 2), dtype=np.int64)
-    errors = np.tile(clean_errors, (v, 1))
+    errors = np.empty((v, frames_used), dtype=bool)
     for i, (engine, model) in enumerate(zip(_STATE["engines"], _STATE["models"])):
         pos = engine.search(perms, _STATE["cols"], targets)
-        flips = engine.flip_mask(perms, pos)
         hit = pos >= 0
         queries = np.ones(frames_used, dtype=np.int64)
         queries[nonclean] = np.where(hit, pos + 2, 1 + engine.pattern_count)
-        err = errors[i]
-        err[nonclean] = ~hit | (flips != e_nonclean).any(axis=1)
-
-        corrected = hard.copy()
-        corrected[nonclean] ^= flips
-        sums[i, :3] = err.sum(), _bit_errors(corrected[err], msgs[err]), queries.sum()
+        # zero exactly when the frame decodes to the sent codeword
+        residual = e_true.copy()
+        residual[nonclean] ^= engine.flip_mask(perms, pos)
+        err = errors[i] = residual.any(axis=1)
+        bit_errors = _gf2_product(residual[err], _STATE["g_inv32"]).sum()
+        sums[i, :3] = err.sum(), bit_errors, queries.sum()
         peaks[i, 0] = queries.max()
         if model:
             frame_lat, pipe = model.cycles_from_steps(model.stream_steps[pos])
@@ -420,12 +412,19 @@ def _stat_cells(s: PointStats) -> list[str]:
     ]
 
 
+def open_output(out):
+    """A context yielding out itself if open, stdout for '-', else open(out, "w")."""
+    if hasattr(out, "write"):
+        return nullcontext(out)
+    return nullcontext(sys.stdout) if out == "-" else open(out, "w")
+
+
 def write_sweep_csv(cfg: SweepConfig, points: Sequence[ComparePoint], out) -> None:
     # a single variant's columns carry no prefix; compare files number them
     prefixes = [""] if len(cfg.variants) == 1 else [
         f"v{i}_" for i in range(1, len(cfg.variants) + 1)
     ]
-    with nullcontext(sys.stdout) if out == "-" else open(out, "w") as fh:
+    with open_output(out) as fh:
         for line in _metadata_lines(cfg):
             print(line, file=fh)
         columns = [p + c for p in prefixes for c in _STAT_COLUMNS]
@@ -440,7 +439,7 @@ def write_sweep_csv(cfg: SweepConfig, points: Sequence[ComparePoint], out) -> No
 
 def run_sweep(cfg: SweepConfig, out=None) -> list[PointStats]:
     """Simulate every configured point for a single variant; optionally write
-    the CSV to a path or '-' for stdout."""
+    the CSV to a path, '-' for stdout, or an open text file."""
     if len(cfg.variants) != 1:
         raise ValueError("run_sweep expects exactly one variant; use"
                          " compare_decoders for several")

@@ -1,6 +1,9 @@
+import signal
+
 import pytest
 
-from stepgrand.cli import build_parser, main, parse_ebn0, parse_variant
+from stepgrand import sim
+from stepgrand.cli import MAX_EBN0_POINTS, build_parser, main, parse_ebn0, parse_variant
 from stepgrand.codes import build_bch, save_alist, save_dense_generator
 from stepgrand.decoder import GrandabSpec, OrbgrandSpec, StepGrandSpec
 
@@ -28,6 +31,14 @@ class TestEbn0Parsing:
         with pytest.raises(ValueError, match="points repeat"):
             parse_ebn0("0:1e-10:1e-9")
         assert parse_ebn0("0:1e-9:3e-9") == (0.0, 1e-9, 2e-9, 3e-9)
+
+    def test_point_count_is_capped(self):
+        assert len(parse_ebn0(f"0:1:{MAX_EBN0_POINTS - 1}")) == MAX_EBN0_POINTS
+        # one point over the cap first: a parser that builds the points
+        # before counting them fails there, not on the huge ranges
+        for text in (f"0:1:{MAX_EBN0_POINTS}", "0:1e-9:1e6", "0:1e-300:1e300"):
+            with pytest.raises(ValueError, match=f"more than {MAX_EBN0_POINTS} points"):
+                parse_ebn0(text)
 
 
 class TestVariantParsing:
@@ -210,6 +221,37 @@ class TestMainCommand:
         ])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_huge_ebn0_range_fails_fast(self, dense_code_path, capsys):
+        # 10**15 points: the alarm stops a parser that builds the points
+        # before counting them long before they fill memory
+        def too_slow(signum, frame):
+            pytest.fail("the Eb/N0 range was not refused within a second")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            rc = main(["--code", f"dense:{dense_code_path}", "--ebn0", "0:1e-9:1e6"])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"more than {MAX_EBN0_POINTS} points" in err
+
+    def test_unwritable_output_fails_before_the_first_chunk(
+            self, dense_code_path, tmp_path, monkeypatch, capsys):
+        def no_chunk(*args):
+            pytest.fail("a chunk ran before the output was opened")
+
+        monkeypatch.setattr(sim, "_run_chunk", no_chunk)
+        for argv in (["--decoder", "grandab"], ["--compare", "grandab;stepgrand(a=1,b=4,p=2)"]):
+            rc = main([
+                "--code", f"dense:{dense_code_path}", "--ebn0", "3", *argv,
+                "--max-frames", "60000", "--out", str(tmp_path / "missing" / "out.csv"),
+            ])
+            assert rc == 1
+            assert capsys.readouterr().err.startswith("error: [Errno 2]")
 
     def test_missing_required_flags_use_argparse_exit(self):
         with pytest.raises(SystemExit) as exc_info:

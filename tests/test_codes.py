@@ -326,6 +326,19 @@ class TestAlistFormat:
         with pytest.raises(ValueError, match=r"mix\.alist:7: row 1"):
             load_alist(f)
 
+    def test_trailing_content_cites_line(self, tmp_path):
+        code = build_bch(4, 2)
+        f = tmp_path / "tail.alist"
+        save_alist(code, f)
+        body = f.read_text()
+        used = len(body.splitlines())  # 4 header lines, 15 columns, 8 rows
+        f.write_text(body + "\n  \n")  # trailing blank lines are accepted
+        assert load_alist(f).parity_check == code.parity_check
+        for extra, lineno in (("1 2 3\n", used + 1), ("\ngarbage\n", used + 2)):
+            f.write_text(body + extra)
+            with pytest.raises(ValueError, match=rf"tail\.alist:{lineno}: unexpected line"):
+                load_alist(f)
+
     def test_non_integer_cites_line(self, tmp_path):
         f = tmp_path / "junk.alist"
         f.write_text("2 1\nx y\n")
@@ -372,6 +385,18 @@ class TestDenseGeneratorFormat:
         f.write_text("4 3\nf\n")
         with pytest.raises(ValueError, match="expected 3 rows"):
             load_dense_generator(f)
+
+    def test_trailing_content_cites_line(self, tmp_path):
+        code = build_bch(4, 2)
+        f = tmp_path / "tail.gen"
+        save_dense_generator(code, f)
+        body = f.read_text()  # 'n k' and 7 rows
+        f.write_text(body + "\n\n")  # trailing blank lines are accepted
+        assert load_dense_generator(f).generator == code.generator
+        for extra, lineno in (("7fff\n", 9), ("\ngarbage\n", 10)):
+            f.write_text(body + extra)
+            with pytest.raises(ValueError, match=rf"tail\.gen:{lineno}: unexpected line"):
+                load_dense_generator(f)
 
     def test_rank_deficient_file_rejected(self, tmp_path):
         f = tmp_path / "dup.gen"

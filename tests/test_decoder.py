@@ -22,7 +22,7 @@ from stepgrand.decoder import (
     worst_case_queries,
 )
 from stepgrand.gf2 import BitMatrix, BitWord, rank
-from stepgrand.patterns import grandab_teps, map_ranks, sort_reliability
+from stepgrand.patterns import map_ranks, sort_reliability, subset_teps
 
 
 def soft_from_codeword(codeword, flip_positions=(), magnitudes=None):
@@ -106,7 +106,7 @@ class TestQueryOrderFidelity:
             v = soft_from_codeword(y)
             consumed = []
             def counting_stream():
-                for tep in grandab_teps(code.n, 3):
+                for tep in subset_teps((code.n,) * 3):
                     consumed.append(tep)
                     yield tep
             result = decode(v, code, counting_stream(), uses_sorting=False)
@@ -136,7 +136,7 @@ class TestExhaustiveIsMinimumDistance:
                 y = rng.getrandbits(n)
                 v = soft_from_codeword(BitWord(n, y))
                 result = decode(
-                    v, code, grandab_teps(n, n), uses_sorting=False
+                    v, code, subset_teps((n,) * n), uses_sorting=False
                 )
                 assert not result.abandoned
                 best = int(np.bitwise_count(codebook ^ np.uint64(y)).min())

@@ -11,7 +11,7 @@ from stepgrand.hwmodel import (
     info_throughput_bps,
     latency_seconds,
 )
-from stepgrand.patterns import build_step_schedule, step_grand_teps
+from stepgrand.patterns import build_step_schedule, subset_teps
 
 CLOCK_HZ = 454e6
 
@@ -127,7 +127,7 @@ class TestFrameCycles:
         schedule = model.schedule
         last = 0
         steps_seen: dict[int, set[int]] = {hw: set() for _, hw in schedule.entries}
-        for i, tep in enumerate(step_grand_teps(schedule)):
+        for i, tep in enumerate(subset_teps(schedule.gammas)):
             trace = DecodeTrace(
                 outcome=HIT, weight=tep.weight, ranks=tep.ranks, stream_position=i
             )
@@ -173,7 +173,7 @@ class TestStreamSteps:
         steps = model.stream_steps
         assert steps.dtype == "int64"
         assert len(steps) == spec.pattern_count(128) + 1
-        for p, tep in enumerate(step_grand_teps(schedule)):
+        for p, tep in enumerate(subset_teps(schedule.gammas)):
             trace = DecodeTrace(outcome=HIT, weight=tep.weight, ranks=tep.ranks,
                                 stream_position=p)
             assert steps[p] == model.time_step(trace)

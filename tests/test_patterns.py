@@ -14,14 +14,13 @@ from stepgrand.patterns import (
     Tep,
     build_step_schedule,
     distinct_partitions,
-    grandab_teps,
     grown_table,
     map_ranks,
     max_logistic_weight,
     orbgrand_count,
     orbgrand_teps,
     sort_reliability,
-    step_grand_teps,
+    subset_teps,
 )
 
 
@@ -80,7 +79,7 @@ def test_schedule_invariants_over_grid():
 
 def test_step_stream_tiny_schedule():
     s = StepSchedule(1, 1, 2, ((3, 1), (2, 2)))
-    got = [t.ranks for t in step_grand_teps(s)]
+    got = [t.ranks for t in subset_teps(s.gammas)]
     assert got == [(1,), (2,), (3,), (1, 2)]
 
 
@@ -89,7 +88,7 @@ def test_step_stream_counts_match_binomial_sums():
         s = build_step_schedule(alpha, beta, 6)
         by_sum = sum(math.comb(g, h) for g, h in s.entries)
         assert by_sum == expected
-        count = sum(1 for _ in step_grand_teps(s))
+        count = sum(1 for _ in subset_teps(s.gammas))
         assert count == expected
 
 
@@ -97,7 +96,7 @@ def test_step_stream_order_and_bounds():
     s = build_step_schedule(2, 6, 6)
     prev_weight = 0
     per_entry: dict[int, list[tuple[int, ...]]] = {}
-    for t in step_grand_teps(s):
+    for t in subset_teps(s.gammas):
         assert t.weight >= prev_weight
         prev_weight = t.weight
         gamma = s.entries[t.weight - 1][0]
@@ -123,19 +122,19 @@ def test_grown_table_matches_combinations(size):
 
 
 def test_grandab_small_and_empty():
-    got = [t.ranks for t in grandab_teps(4, 2)]
+    got = [t.ranks for t in subset_teps((4, 4))]
     assert got == [
         (1,), (2,), (3,), (4,),
         (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
     ]
-    assert list(grandab_teps(4, 0)) == []
+    assert list(subset_teps(())) == []
     with pytest.raises(ValueError):
-        list(grandab_teps(4, 5))
+        list(GrandabSpec(5).teps(4))
 
 
 def test_grandab_counts():
-    assert sum(1 for _ in grandab_teps(16, 16)) == 2 ** 16 - 1
-    count = sum(1 for _ in grandab_teps(128, 3))
+    assert sum(1 for _ in subset_teps((16,) * 16)) == 2 ** 16 - 1
+    count = sum(1 for _ in subset_teps((128,) * 3))
     assert count == 349_632
     assert count == sum(math.comb(128, w) for w in (1, 2, 3))
 
@@ -210,6 +209,28 @@ ORBGRAND_COUNT_CASES = [
 def test_orbgrand_count_equals_stream_length(n, lw, p):
     spec = OrbgrandSpec(lw_max=lw, p_max=p)
     assert spec.pattern_count(n) == sum(1 for _ in spec.teps(n))
+
+
+# grandab at both ends of its weight range; each (alpha, p_max) of at most two
+# flips at the least and the largest beta whose subsets fit n = 16
+SUBSET_COUNT_CASES = [
+    (16, GrandabSpec(0)), (16, GrandabSpec(3)), (16, GrandabSpec(16)),
+    (16, StepGrandSpec(1, 1, 1)), (16, StepGrandSpec(1, 16, 1)),
+    (16, StepGrandSpec(1, 2, 2)), (16, StepGrandSpec(1, 8, 2)),
+    (16, StepGrandSpec(2, 2, 2)), (16, StepGrandSpec(2, 5, 2)),
+    (128, StepGrandSpec(2, 6, 6)),
+]
+
+
+@pytest.mark.parametrize("n, spec", SUBSET_COUNT_CASES, ids=str)
+def test_subset_count_equals_stream_length(n, spec):
+    assert spec.pattern_count(n) == len(list(spec.teps(n))) == len(spec.rank_table(n)[0])
+
+
+@pytest.mark.parametrize("method", ["teps", "rank_table", "pattern_count"])
+def test_grandab_weight_above_n_is_refused(method):
+    with pytest.raises(ValueError, match="max_weight must be in"):
+        getattr(GrandabSpec(17), method)(16)
 
 
 RANK_TABLE_CASES = [

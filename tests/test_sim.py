@@ -160,7 +160,7 @@ class TestChunkStages:
         monkeypatch.setattr(sim, "_STATE", {})
         sim._init_worker(code, variants, False)
         msgs, cw, received = self.hand_built_frames()
-        frames, sums, peaks, discord = sim._decode_chunk(msgs, cw, received)
+        frames, sums, peaks, discord = sim._decode_chunk(cw, received)
 
         m, v = len(msgs), len(variants)
         errors = np.zeros((v, m), dtype=np.int64)
@@ -435,17 +435,20 @@ class TestGf2Product:
         expected = [code.encode(BitWord.from_array(m)).to_array() for m in msgs]
         assert np.array_equal(cw, np.array(expected))
 
-    def test_bit_errors_match_reference_recovery(self, parity_code, monkeypatch):
+    def test_bit_errors_match_reference_recovery(self, parity_code):
+        # the decoder stage counts a frame's bit errors as |residual * G^-1|,
+        # with residual = w XOR m G, in place of |recover(w) XOR m|
         code = parity_code
         words = edge_and_random_rows(code.n, 4)
         msgs = edge_and_random_rows(code.k, 5)
+        g32 = code.generator.to_array().astype(np.float32)
         g_inv32 = code.generator_right_inverse.to_array().astype(np.float32)
-        monkeypatch.setattr(sim, "_STATE", {"g_inv32": g_inv32})
         expected = sum(
             int((code.recover_message(BitWord.from_array(w)).to_array() != m).sum())
             for w, m in zip(words, msgs)
         )
-        assert sim._bit_errors(words, msgs) == expected
+        residual = words ^ sim._gf2_product(msgs, g32)
+        assert int(sim._gf2_product(residual, g_inv32).sum()) == expected
 
 
 class TestStatisticsHelpers:
