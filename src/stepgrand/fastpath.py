@@ -27,9 +27,9 @@ schedule), whose syndromes depend on the per-frame reliability permutation,
 by prefix recursion: a pattern minus its top rank is an earlier pattern,
 its parent, so a pattern's syndrome is its parent's XOR one column. The
 spec's `rank_table` names each row's parent, and the engine only checks
-it. Frames go through in slices, stream rows in tiles, and within a tile
-rows are taken by weight so parents come before their children; only rows
-that are some row's parent keep their syndrome.
+it. Frames go through in slices, stream rows in tiles; within a tile the
+parent rows go by weight and keep their syndromes, then the leaves (all
+other rows) go half a tile at a time: syn[parent] == sigma[top] ^ target.
 """
 
 from __future__ import annotations
@@ -162,11 +162,11 @@ class SoftEngine(_RankPatterns):
     frame's single-flip syndrome at rank r, so each pattern costs one XOR
     per frame. Frames go through in slices of slice_frames, to keep the
     working set small, with a (rows x frames) layout in the columns' dtype;
-    stream rows in tiles of tile_rows, whose edges are block_edges. Within a
-    tile rows go by weight, so a parent is done before its children; only
-    rows that are some row's parent keep their syndrome. After each tile
-    the first hit of each frame is its stream position, and resolved frames
-    are dropped.
+    stream rows in tiles of tile_rows, whose edges are block_edges. A tile
+    runs its parent rows (rows some row descends from) by weight, each level
+    filling one range of syn, then its leaves in two halves, which bounds the
+    gathers: a leaf hits exactly when syn[parent] == sigma[top] ^ target. A
+    frame whose first hit lies below the tile's edge is resolved and dropped.
 
     The parents come with the table from the spec's `rank_table`. A stream
     without the prefix property (a pattern whose parent is not an earlier
@@ -190,27 +190,27 @@ class SoftEngine(_RankPatterns):
             got = np.where(parent >= 0, table[parent, j], n)
             if (got != np.where(self.weights > j + 1, table[:, j], n)).any():
                 raise ValueError("stream has a pattern whose parent is not its prefix")
-        # slot 0 holds the empty pattern's syndrome, 0, and slot[-1] (the
-        # slot of parent -1) points there; each parent row has a slot of its own
-        is_parent = np.zeros(count + 1, dtype=bool)
-        is_parent[parent] = True
-        keepers = np.flatnonzero(is_parent[:count])
-        slot = np.zeros(count + 1, dtype=np.int64)
-        slot[keepers] = np.arange(1, len(keepers) + 1)
-        self.slots = len(keepers) + 1
         top = table[rows, self.weights - 1]
+        level_of = np.zeros(count + 1, dtype=np.int8)
+        level_of[parent] = self.weights[parent]  # a parent's weight; leaves 0
+        # slot 0 holds the empty pattern's syndrome, 0, for parent -1; parent
+        # rows take slots in (tile, weight, row) order, a range per level
+        slot = np.zeros(count + 1, dtype=np.int32)
+        self.slots = 1
         self.block_edges = [*range(0, count, self.tile_rows), count]
-        # per tile, its weight groups: (rows, parent slots, top ranks, the
-        # group's keeper indexes and their slots)
+        # per tile: its edge; its levels by weight, (slot a, slot b, rows,
+        # parent slots, top ranks); its leaves' (rows, parent slots, tops)
         self.tiles = []
         for lo, hi in zip(self.block_edges, self.block_edges[1:]):
-            groups = []
-            w = self.weights[lo:hi]
-            for g in range(1, w.max() + 1):
-                r = lo + np.flatnonzero(w == g)
-                kept = np.flatnonzero(slot[r])
-                groups.append((r, slot[parent[r]], top[r], kept, slot[r[kept]]))
-            self.tiles.append(groups)
+            r = np.arange(lo, hi, dtype=np.int32)  # tables stop at 2**25 rows
+            w = level_of[lo:hi]
+            levels = []
+            for level in filter(len, (r[w == g] for g in range(1, w.max() + 1))):
+                a, self.slots = self.slots, self.slots + level.size
+                slot[level] = np.arange(a, self.slots)
+                levels.append((a, self.slots, level, slot[parent[level]], top[level]))
+            leaves = [(b, slot[parent[b]], top[b]) for b in np.array_split(r[w == 0], 2)]
+            self.tiles.append((hi, levels, leaves))
 
     def search(self, perms: np.ndarray, columns: np.ndarray, targets: np.ndarray
                ) -> np.ndarray:
@@ -230,33 +230,33 @@ class SoftEngine(_RankPatterns):
         """Fill pos (a view) for one slice; sigma[f, r] is the syndrome of a
         lone flip at frame f's rank r."""
         frames = np.arange(len(targets))
-        live = np.ones(len(frames), dtype=bool)
+        first = np.full(len(frames), self.pattern_count)
         sigma = np.ascontiguousarray(sigma.T)  # (ranks x frames), like syn
+        sigma_t = sigma ^ targets
         syn = np.zeros((self.slots, len(frames)), dtype=sigma.dtype)
-        for groups in self.tiles:
-            f = len(frames)
-            first = np.full(f, self.pattern_count)
-            for r, parent_slot, top, kept, kept_slot in groups:
-                group_syn = np.take(syn, parent_slot, axis=0)
-                group_syn ^= np.take(sigma, top, axis=0)
-                syn[kept_slot] = group_syn[kept]
-                hit = np.flatnonzero(group_syn == targets)
-                if hit.size:
-                    np.minimum.at(first, hit % f, r[hit // f])
-            found = live & (first < self.pattern_count)
-            if not found.any():
-                continue
-            pos[frames[found]] = first[found]
-            live &= ~found
-            left = np.count_nonzero(live)
-            if left == 0:
-                return
-            if left <= 3 * f // 4:
+        for hi, levels, leaves in self.tiles:
+            for a, b, r, parent_slot, top in levels:
+                # parent slots lie below a; clip, as a raising take buffers out
+                level = syn[a:b]
+                np.take(syn[:a], parent_slot, axis=0, out=level, mode="clip")
+                level ^= np.take(sigma, top, axis=0)
+                at, frame = np.divmod(np.flatnonzero(level == targets), len(frames))
+                np.minimum.at(first, frame, r[at])
+            for r, parent_slot, top in leaves:
+                hit = np.take(syn, parent_slot, axis=0) == np.take(sigma_t, top, axis=0)
+                at, frame = np.divmod(np.flatnonzero(hit), len(frames))
+                np.minimum.at(first, frame, r[at])
+            live = first >= hi
+            if np.count_nonzero(live) <= 3 * len(frames) // 4:
                 # drop resolved frames once a quarter of them are; compress
                 # keeps the rows C-ordered for the row gathers
-                frames, targets = frames[live], targets[live]
-                syn, sigma = (np.compress(live, a, axis=1) for a in (syn, sigma))
-                live = live[live]
+                pos[frames[~live]] = first[~live]
+                if not live.any():
+                    return
+                frames, first, targets = frames[live], first[live], targets[live]
+                syn, sigma, sigma_t = (np.compress(live, a, axis=1)
+                                       for a in (syn, sigma, sigma_t))
+        pos[frames] = np.where(first < self.pattern_count, first, -1)
 
     # bound in SoftEngine's own namespace: bench/layers.py patches the
     # engine's methods by class attribute

@@ -40,6 +40,18 @@ class TestEbn0Parsing:
             with pytest.raises(ValueError, match=f"more than {MAX_EBN0_POINTS} points"):
                 parse_ebn0(text)
 
+    def test_list_length_is_capped(self):
+        points = [str(i) for i in range(MAX_EBN0_POINTS + 1)]
+        assert len(parse_ebn0(",".join(points[:-1]))) == MAX_EBN0_POINTS
+        with pytest.raises(ValueError, match=f"more than {MAX_EBN0_POINTS} points"):
+            parse_ebn0(",".join(points))
+
+    @pytest.mark.parametrize("text", ["3,3", "3,4,3.0", "0,-0", "1e0,1"])
+    def test_list_rejects_repeated_points(self, text):
+        # each copy would run as its own point with its own noise
+        with pytest.raises(ValueError, match="repeats a point"):
+            parse_ebn0(text)
+
 
 class TestVariantParsing:
     def test_defaults(self):
@@ -160,6 +172,9 @@ class TestMainCommand:
         (["--code", "bch127", "--ebn0", "4", "--compare",
           "stepgrand(a=2,a=3);grandab"], "variant parameter 'a' given twice"),
         (["--code", "bch127", "--ebn0", "0:1e-10:1e-9"], "points repeat"),
+        (["--code", "bch127", "--ebn0", "3,3"], "ebn0 list '3,3' repeats a point"),
+        (["--code", "bch127", "--ebn0", ",".join(map(str, range(MAX_EBN0_POINTS + 1)))],
+         f"ebn0 list has more than {MAX_EBN0_POINTS} points"),
         (["--code", "bch127", "--ebn0", "4", "--min-frame-errors", "0"],
          "min_frame_errors"),
         (["--code", "capolar128", "--decoder", "grandab", "--ab", "5",

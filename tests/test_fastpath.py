@@ -259,10 +259,7 @@ class TestBatchedSoftSearch:
         rows = np.array([r for e in edges[1:-1] for r in (e - 1, e)])
         perms = np.argsort(rng.normal(size=(len(rows), code.n)), axis=1, kind="stable")
         # each target is the syndrome of the pattern at a row beside an edge
-        sigma = np.concatenate([cols[perms], np.zeros((len(rows), 1), np.int32)], axis=1)
-        planted = engine.rank_index[rows]
-        targets = np.bitwise_xor.reduce(
-            np.take_along_axis(sigma, planted.astype(np.int64), axis=1), axis=1)
+        targets = pattern_syndromes(engine, perms, cols, rows)
         pos = engine.search(perms, cols, targets)
         want = [first_match(engine, p, cols, t) for p, t in zip(perms, targets)]
         assert pos.tolist() == want
@@ -284,9 +281,7 @@ class TestBatchedSoftSearch:
         deep = np.flatnonzero(engine.weights >= 8)
         rows = np.concatenate([rng.choice(deep, 30), [engine.pattern_count - 1]])
         perms = np.argsort(rng.normal(size=(len(rows), code.n)), axis=1, kind="stable")
-        sigma = np.concatenate([cols[perms], np.zeros((len(rows), 1), np.int32)], axis=1)
-        targets = np.bitwise_xor.reduce(np.take_along_axis(
-            sigma, engine.rank_index[rows].astype(np.int64), axis=1), axis=1)
+        targets = pattern_syndromes(engine, perms, cols, rows)
         pos = engine.search(perms, cols, targets)
         assert pos.tolist() == [first_match(engine, p, cols, t)
                                 for p, t in zip(perms, targets)]
@@ -308,6 +303,117 @@ class TestBatchedSoftSearch:
 
         with pytest.raises(ValueError, match=message):
             SoftEngine(build_ca_polar(32, 20, crc=None), HandBuilt())
+
+
+def parent_rows(spec, n):
+    """Per row, whether it is some row's parent, from the spec's table."""
+    parent = spec.rank_table(n)[1]
+    is_parent = np.zeros(len(parent), dtype=bool)
+    is_parent[parent[parent >= 0]] = True
+    return is_parent
+
+
+def pattern_syndromes(engine, perms, cols, rows):
+    """Syndrome of the pattern at rows[i] under perms[i], XOR-reduced."""
+    sigma = np.concatenate([cols[perms], np.zeros((len(rows), 1), cols.dtype)], axis=1)
+    ranks = engine.rank_index[rows].astype(np.int64)
+    return np.bitwise_xor.reduce(np.take_along_axis(sigma, ranks, axis=1), axis=1)
+
+
+def tile_arrays(engine):
+    """Every index array SoftEngine holds per tile."""
+    stack, found = [engine.tiles], []
+    while stack:
+        x = stack.pop()
+        if isinstance(x, np.ndarray):
+            found.append(x)
+        elif isinstance(x, (list, tuple)):
+            stack.extend(x)
+    return found
+
+
+class TestParentAndLeafRows:
+    # a tile runs its parent rows by weight, then compares its leaves
+    @pytest.mark.parametrize("spec", TestBatchedSoftSearch.TILED, ids=lambda s: s.label)
+    def test_hits_on_both_row_kinds_in_every_tile(self, spec):
+        code = build_ca_polar(128, 105)
+        engine = SoftEngine(code, spec)
+        cols = packed_parity_columns(code)
+        is_parent = parent_rows(spec, code.n)
+        rng = np.random.default_rng(37)
+        rows = []
+        for lo, hi in zip(engine.block_edges, engine.block_edges[1:]):
+            for kind in (True, False):
+                pick = lo + np.flatnonzero(is_parent[lo:hi] == kind)
+                rows += rng.choice(pick, min(2, pick.size), replace=False).tolist()
+        rows = np.array(rows)
+        perms = np.argsort(rng.normal(size=(len(rows), code.n)), axis=1, kind="stable")
+        targets = pattern_syndromes(engine, perms, cols, rows)
+        pos = engine.search(perms, cols, targets)
+        assert pos.tolist() == [first_match(engine, p, cols, t)
+                                for p, t in zip(perms, targets)]
+        exact = rows[pos == rows]
+        tile = engine.tile_rows
+        assert ({(r // tile, is_parent[r]) for r in exact}
+                == {(r // tile, is_parent[r]) for r in rows})
+        # orbgrand has parent rows in its first 7 tiles, stepgrand in 2
+        assert len({r // tile for r in rows if is_parent[r]}) >= 2
+
+    @pytest.mark.parametrize("first_is_parent", [False, True],
+                             ids=["leaf-first", "parent-first"])
+    def test_earlier_hit_beats_a_later_tiles_other_row_kind(self, first_is_parent):
+        # one frame's first hit in a tile; the same syndrome recurs on the
+        # other row kind in a later tile. Four abandoned frames keep it in
+        # its slice, so the later tile's hit competes.
+        rng = np.random.default_rng(41)
+        code = random_code(rng, 24, 12)
+        spec = OrbgrandSpec(lw_max=30, p_max=4)
+        engine = SmallTiles(code, spec)
+        cols = packed_parity_columns(code)
+        is_parent = parent_rows(spec, code.n)
+        count, tile = engine.pattern_count, engine.tile_rows
+        every_row = np.arange(count)
+        planted = None
+        while planted is None:
+            perm = rng.permutation(code.n)
+            syn = pattern_syndromes(engine, np.tile(perm, (count, 1)), cols, every_row)
+            for row in np.flatnonzero(is_parent == first_is_parent):
+                same = np.flatnonzero(syn == syn[row])
+                later = same[same >= (row // tile + 1) * tile]
+                if same[0] == row and (is_parent[later] != first_is_parent).any():
+                    planted = (perm, syn[row], row)
+                    break
+        perm, target, row = planted
+        frames = [(None, perm, target)]
+        while len(frames) < engine.slice_frames:
+            perm = rng.permutation(code.n)
+            target = int(rng.integers(1, 1 << 12))
+            if first_match(engine, perm, cols, target) < 0:
+                frames.append((None, perm, target))
+        pos = search(engine, frames, cols)
+        assert pos.tolist() == [row] + [-1] * (engine.slice_frames - 1)
+
+    @pytest.mark.parametrize("engine_class", [SoftEngine, SmallTiles])
+    @pytest.mark.parametrize("spec", [OrbgrandSpec(lw_max=0), OrbgrandSpec(p_max=1),
+                                      StepGrandSpec(1, 6, 1)], ids=lambda s: s.label)
+    def test_degenerate_streams(self, spec, engine_class):
+        # an empty stream, and streams of leaves only
+        code = build_ca_polar(128, 105)
+        cols = packed_parity_columns(code)
+        engine = engine_class(code, spec)
+        assert not parent_rows(spec, code.n).any()
+        for m in (1, engine.slice_frames, engine.slice_frames + 1):
+            frames = nonclean_frames(code, np.random.default_rng(m), m, ebn0=3.0)
+            pos = search(engine, frames, cols)
+            assert pos.tolist() == [first_match(engine, p, cols, t) for _, p, t in frames]
+
+    def test_index_arrays_are_int32_within_a_byte_budget(self):
+        engine = SoftEngine(build_ca_polar(128, 105), OrbgrandSpec(64, 6))
+        arrays = tile_arrays(engine)
+        assert arrays and all(a.dtype == np.int32 for a in arrays)
+        # 2,489,708 bytes when each tile held int64 weight groups with their
+        # keepers; one int32 row, parent slot and top rank per row is 1,395,828
+        assert sum(a.nbytes for a in arrays) <= 2_489_708
 
 
 class TestBuildEngine:
