@@ -164,8 +164,22 @@ def decode(
 # hard-word check is not included).
 
 
+class _SubsetStream:
+    """A stream of weights 1, 2, ... in turn, weight w over the gammas(n)[w - 1]
+    least reliable ranks; a subclass supplies gammas."""
+
+    def teps(self, n: int) -> Iterable[Tep]:
+        return subset_teps(self.gammas(n))
+
+    def rank_table(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        return subset_table(self.gammas(n), n)
+
+    def pattern_count(self, n: int) -> int:
+        return subset_count(self.gammas(n))
+
+
 @dataclass(frozen=True)
-class GrandabSpec:
+class GrandabSpec(_SubsetStream):
     """Hard-input sweep of all patterns up to a weight bound, then give up."""
 
     max_weight: int = 3
@@ -180,15 +194,6 @@ class GrandabSpec:
         if not 0 <= self.max_weight <= n:
             raise ValueError(f"max_weight must be in [0, {n}], got {self.max_weight}")
         return (n,) * self.max_weight
-
-    def teps(self, n: int) -> Iterable[Tep]:
-        return subset_teps(self.gammas(n))
-
-    def rank_table(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        return subset_table(self.gammas(n), n)
-
-    def pattern_count(self, n: int) -> int:
-        return subset_count(self.gammas(n))
 
 
 @dataclass(frozen=True)
@@ -218,7 +223,7 @@ class OrbgrandSpec:
 
 
 @dataclass(frozen=True)
-class StepGrandSpec:
+class StepGrandSpec(_SubsetStream):
     """Soft-input sweep in increasing flip count over stepped subsets of the
     least reliable positions, sized by the (alpha, beta, p_max) schedule."""
 
@@ -237,15 +242,6 @@ class StepGrandSpec:
 
     def gammas(self, n: int | None = None) -> tuple[int, ...]:
         return self.schedule(n).gammas
-
-    def teps(self, n: int) -> Iterable[Tep]:
-        return subset_teps(self.gammas(n))
-
-    def rank_table(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        return subset_table(self.gammas(n), n)
-
-    def pattern_count(self, n: int | None = None) -> int:
-        return subset_count(self.gammas(n))
 
 
 DecoderSpec = GrandabSpec | OrbgrandSpec | StepGrandSpec

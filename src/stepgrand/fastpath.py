@@ -27,9 +27,9 @@ schedule), whose syndromes depend on the per-frame reliability permutation,
 by prefix recursion: a pattern minus its top rank is an earlier pattern,
 its parent, so a pattern's syndrome is its parent's XOR one column. The
 spec's `rank_table` names each row's parent, and the engine only checks
-it. Frames go through in slices, stream rows in tiles; within a tile the
-parent rows go by weight and keep their syndromes, then the leaves (all
-other rows) go half a tile at a time: syn[parent] == sigma[top] ^ target.
+it. Frames go through in slices, stream rows in tiles. Each parent row
+keeps u = syndrome ^ target, filled by weight within its tile, and every
+row hits when u[parent] == sigma[top], half a tile at a time.
 """
 
 from __future__ import annotations
@@ -158,15 +158,15 @@ class SoftEngine(_RankPatterns):
     """Rank-pattern search of any prefix-closed stream by prefix recursion,
     batched over frames.
 
-    syn[row] = syn[parent[row]] ^ sigma[top[row]], where sigma[r] is a
-    frame's single-flip syndrome at rank r, so each pattern costs one XOR
-    per frame. Frames go through in slices of slice_frames, to keep the
-    working set small, with a (rows x frames) layout in the columns' dtype;
+    syn[row] = syn[parent[row]] ^ sigma[top[row]], sigma[r] being a frame's
+    single-flip syndrome at rank r, so a row hits when u[parent] ==
+    sigma[top] for the residual u = syn ^ target (the target for the empty
+    pattern). Frames go through in slices of slice_frames, to keep the
+    working set small, in a (rows x frames) layout of the columns' dtype;
     stream rows in tiles of tile_rows, whose edges are block_edges. A tile
-    runs its parent rows (rows some row descends from) by weight, each level
-    filling one range of syn, then its leaves in two halves, which bounds the
-    gathers: a leaf hits exactly when syn[parent] == sigma[top] ^ target. A
-    frame whose first hit lies below the tile's edge is resolved and dropped.
+    fills the u of its parent rows (rows some row descends from) by weight,
+    a range of slots per level, then tests all its rows in two halves, which
+    bounds the gathers. A frame hit below the tile's edge is resolved.
 
     The parents come with the table from the spec's `rank_table`. A stream
     without the prefix property (a pattern whose parent is not an earlier
@@ -193,13 +193,13 @@ class SoftEngine(_RankPatterns):
         top = table[rows, self.weights - 1]
         level_of = np.zeros(count + 1, dtype=np.int8)
         level_of[parent] = self.weights[parent]  # a parent's weight; leaves 0
-        # slot 0 holds the empty pattern's syndrome, 0, for parent -1; parent
-        # rows take slots in (tile, weight, row) order, a range per level
+        # slot 0 holds u of the empty pattern, the targets, for parent -1;
+        # parent rows take slots in (tile, weight, row) order, a range per level
         slot = np.zeros(count + 1, dtype=np.int32)
         self.slots = 1
         self.block_edges = [*range(0, count, self.tile_rows), count]
-        # per tile: its edge; its levels by weight, (slot a, slot b, rows,
-        # parent slots, top ranks); its leaves' (rows, parent slots, tops)
+        # per tile: its edges lo, mid, hi; its levels by weight, (slot a,
+        # slot b, parent slots, top ranks)
         self.tiles = []
         for lo, hi in zip(self.block_edges, self.block_edges[1:]):
             r = np.arange(lo, hi, dtype=np.int32)  # tables stop at 2**25 rows
@@ -208,9 +208,10 @@ class SoftEngine(_RankPatterns):
             for level in filter(len, (r[w == g] for g in range(1, w.max() + 1))):
                 a, self.slots = self.slots, self.slots + level.size
                 slot[level] = np.arange(a, self.slots)
-                levels.append((a, self.slots, level, slot[parent[level]], top[level]))
-            leaves = [(b, slot[parent[b]], top[b]) for b in np.array_split(r[w == 0], 2)]
-            self.tiles.append((hi, levels, leaves))
+                levels.append((a, self.slots, slot[parent[level]], top[level]))
+            self.tiles.append((lo, (lo + hi) // 2, hi, levels))
+        # per row, the slot of its parent's u and its top rank
+        self.parent_slot, self.top = slot[parent], top
 
     def search(self, perms: np.ndarray, columns: np.ndarray, targets: np.ndarray
                ) -> np.ndarray:
@@ -231,21 +232,20 @@ class SoftEngine(_RankPatterns):
         lone flip at frame f's rank r."""
         frames = np.arange(len(targets))
         first = np.full(len(frames), self.pattern_count)
-        sigma = np.ascontiguousarray(sigma.T)  # (ranks x frames), like syn
-        sigma_t = sigma ^ targets
-        syn = np.zeros((self.slots, len(frames)), dtype=sigma.dtype)
-        for hi, levels, leaves in self.tiles:
-            for a, b, r, parent_slot, top in levels:
+        sigma = np.ascontiguousarray(sigma.T)  # (ranks x frames), like u
+        u = np.empty((self.slots, len(frames)), dtype=sigma.dtype)
+        u[0] = targets
+        for lo, mid, hi, levels in self.tiles:
+            for a, b, parent_slot, top in levels:
                 # parent slots lie below a; clip, as a raising take buffers out
-                level = syn[a:b]
-                np.take(syn[:a], parent_slot, axis=0, out=level, mode="clip")
+                level = u[a:b]
+                np.take(u[:a], parent_slot, axis=0, out=level, mode="clip")
                 level ^= np.take(sigma, top, axis=0)
-                at, frame = np.divmod(np.flatnonzero(level == targets), len(frames))
-                np.minimum.at(first, frame, r[at])
-            for r, parent_slot, top in leaves:
-                hit = np.take(syn, parent_slot, axis=0) == np.take(sigma_t, top, axis=0)
+            for h0, h1 in ((lo, mid), (mid, hi)):
+                hit = (np.take(u, self.parent_slot[h0:h1], axis=0)
+                       == np.take(sigma, self.top[h0:h1], axis=0))
                 at, frame = np.divmod(np.flatnonzero(hit), len(frames))
-                np.minimum.at(first, frame, r[at])
+                np.minimum.at(first, frame, h0 + at)
             live = first >= hi
             if np.count_nonzero(live) <= 3 * len(frames) // 4:
                 # drop resolved frames once a quarter of them are; compress
@@ -253,9 +253,8 @@ class SoftEngine(_RankPatterns):
                 pos[frames[~live]] = first[~live]
                 if not live.any():
                     return
-                frames, first, targets = frames[live], first[live], targets[live]
-                syn, sigma, sigma_t = (np.compress(live, a, axis=1)
-                                       for a in (syn, sigma, sigma_t))
+                frames, first = frames[live], first[live]
+                u, sigma = (np.compress(live, a, axis=1) for a in (u, sigma))
         pos[frames] = np.where(first < self.pattern_count, first, -1)
 
     # bound in SoftEngine's own namespace: bench/layers.py patches the

@@ -321,8 +321,9 @@ def pattern_syndromes(engine, perms, cols, rows):
 
 
 def tile_arrays(engine):
-    """Every index array SoftEngine holds per tile."""
-    stack, found = [engine.tiles], []
+    """Every index array SoftEngine holds: its tiles' levels, and per row
+    the parent slot and top rank."""
+    stack, found = [engine.tiles, engine.parent_slot, engine.top], []
     while stack:
         x = stack.pop()
         if isinstance(x, np.ndarray):
@@ -411,9 +412,10 @@ class TestParentAndLeafRows:
         engine = SoftEngine(build_ca_polar(128, 105), OrbgrandSpec(64, 6))
         arrays = tile_arrays(engine)
         assert arrays and all(a.dtype == np.int32 for a in arrays)
-        # 2,489,708 bytes when each tile held int64 weight groups with their
-        # keepers; one int32 row, parent slot and top rank per row is 1,395,828
-        assert sum(a.nbytes for a in arrays) <= 2_489_708
+        # 1,395,828 bytes when each tile also held its leaves' and levels'
+        # rows; one int32 parent slot and top rank per row, plus the
+        # levels' own, is 1,012,216
+        assert sum(a.nbytes for a in arrays) <= 1_395_828
 
 
 class TestBuildEngine:
