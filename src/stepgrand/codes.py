@@ -344,12 +344,21 @@ def build_ca_polar(
         raise ValueError("reliability sequence must be a permutation of 0..n-1")
     info_positions = sorted(reliability[n - (k_info + crc_deg) :])
 
+    # row i: unit message i, then its check bits, which are crc_bits of the
+    # unit: the register holds taps after the 1 and steps once per later 0,
+    # so one walk from taps gives every row's register
+    rows = np.eye(k_info, k_info + crc_deg, dtype=np.uint8)
+    if crc is not None:
+        mask = (1 << crc_deg) - 1
+        taps = crc.polynomial & mask
+        regs, reg = [], taps
+        for _ in range(k_info):
+            regs.append(reg)
+            reg = ((reg << 1) & mask) ^ (taps if reg >> (crc_deg - 1) else 0)
+        rows[:, k_info:] = [[reg >> s & 1 for s in range(crc_deg - 1, -1, -1)]
+                            for reg in reversed(regs)]
     pre = np.zeros((k_info, n), dtype=np.uint8)
-    for i in range(k_info):
-        unit = np.zeros(k_info, dtype=np.uint8)
-        unit[i] = 1
-        combined = np.concatenate([unit, crc_bits(unit, crc)]) if crc else unit
-        pre[i, info_positions] = combined
+    pre[:, info_positions] = rows
     generator = BitMatrix.from_array(polar_transform_rows(pre))
     label = name or f"capolar({n},{k_info}+{crc_deg})"
     return code_from_generator(label, generator)

@@ -18,9 +18,9 @@ Hardware time steps are not the engines' business: `hwmodel` maps stream
 positions to steps.
 
 HardEngine serves the hard-input weight order, whose pattern syndromes are
-frame-independent: one table holds every pattern's syndrome, sorted stably so
-equal syndromes keep stream order, and a search is one binary search whose
-leftmost match is the frame's first hit.
+frame-independent: one sorted table holds each distinct pattern syndrome once,
+with the lowest stream row that has it, which is that syndrome's first hit,
+and a search is one binary search.
 
 SoftEngine serves every reliability-sorted stream (orbgrand and the stepped
 schedule), whose syndromes depend on the per-frame reliability permutation,
@@ -119,8 +119,9 @@ class _RankPatterns:
 
 class HardEngine(_RankPatterns):
     """Hard-input search of a frame-independent stream (grandab) through one
-    table of every pattern's syndrome, stably sorted: equal syndromes keep
-    stream order, so a target's leftmost match is its first hit."""
+    table of its distinct pattern syndromes: sorted_syn strictly increasing,
+    and order[i] the lowest stream row whose syndrome is sorted_syn[i], so a
+    target's match in sorted_syn names its first hit."""
 
     def __init__(self, code: LinearCode, spec: DecoderSpec):
         super().__init__(code, spec, spec.rank_table(code.n)[0])
@@ -129,9 +130,18 @@ class HardEngine(_RankPatterns):
         syn = cols[self.rank_index[:, 0]]
         for j in range(1, self.rank_index.shape[1]):
             syn ^= cols[self.rank_index[:, j]]
-        # int32 rows: tables stop at 2**25 patterns
-        self.order = np.argsort(syn, kind="stable").astype(np.int32)
-        self.sorted_syn = syn[self.order]
+        # an unstable sort: each run of equal syndromes keeps its lowest row,
+        # by a run minimum. int32 rows (tables stop at 2**25 patterns), and
+        # no temporary outlives its use, or the build's peak memory rises
+        by_syn = np.argsort(syn).astype(np.int32)
+        syn = syn[by_syn]
+        first = np.ones(len(syn), dtype=bool)  # the start of each run
+        np.not_equal(syn[1:], syn[:-1], out=first[1:])
+        self.sorted_syn = syn[first]
+        del syn
+        starts = np.flatnonzero(first)
+        del first
+        self.order = np.minimum.reduceat(by_syn, starts)
 
     @property
     def weight_tables(self) -> list[dict]:
@@ -144,9 +154,9 @@ class HardEngine(_RankPatterns):
     def search(self, perms, columns, targets: np.ndarray) -> np.ndarray:
         """Stream position of the first match per nonzero frame syndrome,
         -1 when abandoned; perms and columns are not needed."""
-        if not self.pattern_count:
+        if not len(self.sorted_syn):
             return np.full(len(targets), -1, dtype=np.int64)
-        at = np.minimum(np.searchsorted(self.sorted_syn, targets), self.pattern_count - 1)
+        at = np.minimum(np.searchsorted(self.sorted_syn, targets), len(self.sorted_syn) - 1)
         return np.where(self.sorted_syn[at] == targets, self.order[at], -1).astype(np.int64)
 
     def decode_frames(self, syndromes: np.ndarray) -> list[HitReport]:

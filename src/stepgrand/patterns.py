@@ -273,8 +273,21 @@ def orbgrand_table(n: int, lw_max: int | None, p_max: int | None
     weights = np.einsum("ij->i", table < n, dtype=np.int64)
     sums = np.einsum("ij->i", table, dtype=np.int64) + weights - (table.shape[1] - weights) * n
     # rank sum, then parts, then colex: the pads of equal-weight rows tie, so
-    # the columns from last to first compare the largest rank down
-    order = np.lexsort((*table.T, weights, sums))
+    # the columns from last to first compare the largest rank down. The
+    # fields pack, most significant first and each in its bit_length, into
+    # as few 63-bit words as hold them; the keys are unique sets, so
+    # sorting the words sorts the stream
+    fields = [(sums, lw_max), (weights, table.shape[1]), *((c, n) for c in table.T[::-1])]
+    words, used = [], 0
+    for values, top in fields:
+        bits = int(top).bit_length()
+        if not words or used + bits > 63:
+            words.append(np.zeros(len(table), dtype=np.int64))
+            used = 0
+        words[-1] <<= bits
+        words[-1] |= values
+        used += bits
+    order = np.lexsort(words[::-1])
     # parents follow their rows through the sort; index -1 keeps -1
     moved = np.empty(len(order) + 1, dtype=np.int32)
     moved[order] = np.arange(len(order), dtype=np.int32)

@@ -232,6 +232,19 @@ class TestCaPolar:
             assert np.array_equal(payload[:105], msg.to_array())
             assert np.array_equal(payload[105:], crc_bits(msg.to_array(), CRC11))
 
+    @pytest.mark.parametrize("n, k, crc", [(128, 105, CRC11), (64, 40, CRC11),
+                                           (64, 40, None), (16, 3, CrcSpec(5, 0b110101)),
+                                           (128, 20, CrcSpec(64, 1 << 64 | 0b1011))])
+    def test_generator_matches_per_unit_crc(self, n, k, crc):
+        # the reference construction: each unit message and its crc_bits
+        deg = crc.degree if crc else 0
+        info = sorted(polarization_weight_order(n)[n - (k + deg):])
+        pre = np.zeros((k, n), dtype=np.uint8)
+        for i, unit in enumerate(np.eye(k, dtype=np.uint8)):
+            pre[i, info] = np.concatenate([unit, crc_bits(unit, crc)]) if crc else unit
+        code = build_ca_polar(n, k, crc)
+        assert np.array_equal(code.generator.to_array(), polar_transform_rows(pre))
+
     def test_recover_roundtrip(self):
         code = build_ca_polar(128, 105)
         rng = random.Random(19)

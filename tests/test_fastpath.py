@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -55,9 +57,11 @@ class TestHardEngine:
         assert got == expected
         assert engine.pattern_count == spec.pattern_count(code.n)
 
-    @pytest.mark.parametrize("ab", [0, 1, 3])
-    def test_rank_table_is_the_grandab_stream(self, ab):
-        code = build_bch(4, 2)
+    @pytest.mark.parametrize("m, t, ab", [(4, 2, 0), (4, 2, 1), (4, 2, 3), (7, 5, 2)],
+                             ids=["0", "1", "3", "bch127-2"])
+    def test_rank_table_is_the_grandab_stream(self, m, t, ab):
+        # bch(15,7), and bch(127,92), whose 35 parity bits pack into int64
+        code = build_bch(m, t)
         spec = GrandabSpec(max_weight=ab)
         engine = HardEngine(code, spec)
         stream = [tep.ranks for tep in spec.teps(code.n)]
@@ -65,22 +69,43 @@ class TestHardEngine:
         assert [engine.hit_ranks(row) for row in range(len(stream))] == stream
         assert engine.weights.tolist() == [len(r) for r in stream]
         assert (engine.rank_index[engine.weights == 1, 1:] == code.n).all()
-        # one table: syndromes nondecreasing, and order a permutation of the
-        # rows that ascends within each run of equal syndromes
+        # one table of the distinct syndromes, strictly increasing, each with
+        # the lowest row that has it
         cols = packed_parity_columns(code)
-        syn = [int(np.bitwise_xor.reduce(cols[[r - 1 for r in ranks]], initial=0))
-               for ranks in stream]
+        lowest = {}
+        for row, ranks in enumerate(stream):
+            syn = int(np.bitwise_xor.reduce(cols[[r - 1 for r in ranks]], initial=0))
+            lowest.setdefault(syn, row)
+        assert engine.sorted_syn.dtype == cols.dtype
+        assert (np.diff(engine.sorted_syn) > 0).all()
+        assert set(engine.sorted_syn.tolist()) == set(lowest)
         assert engine.order.dtype == np.int32
-        assert sorted(engine.order.tolist()) == list(range(len(stream)))
-        assert engine.sorted_syn.tolist() == [syn[row] for row in engine.order]
-        assert (np.diff(engine.sorted_syn) >= 0).all()
-        same = np.diff(engine.sorted_syn) == 0
-        assert (np.diff(engine.order)[same] > 0).all()
+        assert engine.order.tolist() == [lowest[s] for s in engine.sorted_syn.tolist()]
+        # the table is shorter than the stream, and a search past its end misses
+        above = np.array([1 << (code.n - code.k)], dtype=cols.dtype)
+        targets = np.concatenate([engine.sorted_syn, above])
+        assert engine.search(None, None, targets).tolist() == [*engine.order.tolist(), -1]
         # the view the benchmark's trace sizes holds the engine's own arrays
         (table,) = engine.weight_tables
         assert table["positions"] is engine.rank_index
         assert table["sorted_syn"] is engine.sorted_syn
         assert table["order"] is engine.order
+
+    def test_build_peak_memory(self):
+        # the stable-sort table's build peaked at ~11.26 MB, within the
+        # spec's rank_table, as does this one; the bound leaves a few kB for
+        # the interpreter's own allocations. Carrying the sort's int64
+        # indices through the run minimum, or keeping each temporary until
+        # the end, raises the peak above it
+        code = build_ca_polar(128, 105)
+        tracemalloc.start()
+        try:
+            engine = HardEngine(code, GrandabSpec(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(engine.sorted_syn) == 327_229
+        assert peak <= 11_260_000
 
     def test_empty_stream_abandons_every_frame(self):
         engine = HardEngine(build_bch(4, 2), GrandabSpec(max_weight=0))

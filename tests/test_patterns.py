@@ -236,10 +236,13 @@ def test_grandab_weight_above_n_is_refused(method):
 RANK_TABLE_CASES = [
     (n, OrbgrandSpec(lw_max=lw, p_max=p))
     # None, bounded and at the limits: 136, 528 and 8256 are the largest
-    # rank sums at n = 16, 32 and 128, and p = n is the largest flip count
+    # rank sums at n = 16, 32 and 128, and p = n is the largest flip count.
+    # Unbounded, orbgrand's sort key fills one 63-bit word at n = 13 and
+    # takes two at n = 16
     for n, cases in ((3, ((None, None), (6, 3), (4, 1), (0, None))),
                      (8, ((None, None), (35, 8), (20, 3), (21, None))),
-                     (16, ((None, 3), (136, 2), (20, None))),
+                     (13, ((None, None),)),
+                     (16, ((None, None), (None, 3), (136, 2), (20, None))),
                      (32, ((None, 2), (528, 1), (40, 4))),
                      (128, ((40, None), (64, 6), (None, 2), (8256, 1))))
     for lw, p in cases
