@@ -297,8 +297,24 @@ def orbgrand_table(n: int, lw_max: int | None, p_max: int | None
 
 def sort_reliability(llr: np.ndarray) -> np.ndarray:
     """Per frame of llr, (n,) or (m, n), the positions by |llr| ascending,
-    stably (ties keep channel order): perm[..., i] holds rank i+1."""
-    return np.argsort(np.abs(llr), axis=-1, kind="stable")
+    stably (ties keep channel order): perm[..., i] holds rank i+1.
+
+    numpy's default argsort is SIMD-vectorised but unstable, so it sorts
+    every row, and only a row that holds a tie (a run of equal |llr|) is
+    sorted again with the stable sort. Float channel LLRs almost never tie;
+    quantized LLRs tie in every row and so pay for both sorts.
+    """
+    a = np.abs(llr)
+    # the copy sorted in place shows the ties without a gather: a row that
+    # is not strictly increasing holds equal values (or NaNs). Checking
+    # before the permutation exists, then refilling the copy, keeps the
+    # peak memory at the stable sort's: |llr| plus the permutation
+    a.sort(axis=-1)
+    tied = ~(a[..., 1:] > a[..., :-1]).all(axis=-1)
+    np.abs(llr, out=a)
+    perm = np.argsort(a, axis=-1)
+    perm[tied] = np.argsort(a[tied], axis=-1, kind="stable")
+    return perm
 
 
 def map_ranks(tep: Tep, n: int, perm: np.ndarray | None = None) -> BitWord:

@@ -7,7 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stepgrand.channel import SoftVector, quantize
 from stepgrand.decoder import GrandabSpec, OrbgrandSpec, StepGrandSpec
 from stepgrand.patterns import (
     StepSchedule,
@@ -306,6 +309,67 @@ def test_sort_reliability_example_and_stability():
     for row, perm_row in zip(batch, perms):
         assert perm_row.tolist() == sort_reliability(row).tolist()
     assert perms[1].tolist() == [2, 4, 0, 1, 3]
+
+
+def stable_reference(llr):
+    return np.argsort(np.abs(llr), axis=-1, kind="stable")
+
+
+def assert_sorts_like_stable(llr):
+    want = stable_reference(llr)
+    got = sort_reliability(llr)
+    assert got.shape == want.shape
+    assert got.tolist() == want.tolist()
+
+
+def reliability_llrs(rng, shape, kind):
+    llr = rng.normal(0.0, 2.0, size=shape)
+    signs = rng.choice([-1.0, 1.0], size=shape)
+    if kind == "planted ties":
+        # about a third of the entries copy another entry of their row, so
+        # |llr| ties while the signs may differ
+        donor = rng.integers(0, shape[-1], size=shape)
+        planted = rng.random(shape) < 0.3
+        llr = np.where(planted, np.take_along_axis(llr, donor, axis=-1), llr) * signs
+    elif kind == "all equal":
+        llr = np.full(shape, rng.normal()) * signs
+    elif kind == "zeros and -0.0":
+        llr[rng.random(shape) < 0.3] = 0.0
+        llr[rng.random(shape) < 0.3] = -0.0
+    elif kind == "5-bit quantized":
+        llr = quantize(SoftVector(llr)).llr
+    elif kind == "inf and nan":
+        llr[rng.random(shape) < 0.2] = np.inf
+        llr[rng.random(shape) < 0.2] = -np.inf
+        llr[rng.random(shape) < 0.2] = np.nan
+    return llr
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from([(128,), (127,), (40,), (24, 128), (9, 31), (0, 128)]),
+       kind=st.sampled_from(["float", "planted ties", "all equal",
+                             "zeros and -0.0", "5-bit quantized", "inf and nan"]))
+def test_sort_reliability_matches_stable_sort(seed, shape, kind):
+    assert_sorts_like_stable(reliability_llrs(np.random.default_rng(seed), shape, kind))
+
+
+def test_sort_reliability_repairs_rows_the_unstable_sort_reorders():
+    rng = np.random.default_rng(16)
+    llr = np.concatenate([
+        rng.integers(-3, 4, size=(8, 128)).astype(np.float64),
+        reliability_llrs(rng, (8, 128), "5-bit quantized"),
+        reliability_llrs(rng, (8, 128), "planted ties"),
+        rng.normal(0.0, 2.0, size=(8, 128)),
+    ])
+    # a check on the fixture, not on sort_reliability: without its tie
+    # repair the sort must fail on some of these rows
+    unstable = np.argsort(np.abs(llr), axis=-1)
+    assert (unstable != stable_reference(llr)).any(axis=-1).any(), \
+        "no row here tells the unstable sort from the stable one"
+    assert_sorts_like_stable(llr)
+    for row in llr:
+        assert_sorts_like_stable(row)
 
 
 def test_map_ranks_identity_and_sorted():
