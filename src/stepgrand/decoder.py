@@ -159,9 +159,9 @@ def decode(
 # Decoder variants
 
 # Each variant bundles a label for reports, whether it needs the per-frame
-# reliability sort, the pattern stream and its table with parents (`rank_table`),
-# and the stream length (the worst-case pattern test count; the initial
-# hard-word check is not included).
+# reliability sort, the pattern stream and its (parent, top) arrays
+# (`rank_table`), and the stream length (the worst-case pattern test count;
+# the initial hard-word check is not included).
 
 
 class _SubsetStream:
@@ -172,7 +172,7 @@ class _SubsetStream:
         return subset_teps(self.gammas(n))
 
     def rank_table(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        return subset_table(self.gammas(n), n)
+        return subset_table(self.gammas(n))
 
     def pattern_count(self, n: int) -> int:
         return subset_count(self.gammas(n))

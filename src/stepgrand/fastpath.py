@@ -8,28 +8,20 @@ million-frame sweeps practical. Differential tests pin the equivalence.
 Syndromes are packed into int32 scalars, or int64 ones for codes with more
 than 31 parity bits (up to 63), so a membership test is an integer compare.
 
-Every engine is a table of its stream's reliability ranks plus one batched
-search over the nonclean frames of a chunk: `search(perms, columns, targets)`
+Every engine holds its stream as the spec's (parent, top): a pattern is
+an earlier row, its parent, plus its top rank. It runs one batched search
+over the nonclean frames of a chunk: `search(perms, columns, targets)`
 returns each frame's stream position as int64 (-1 when abandoned), and the
-shared table base's `flip_mask(perms, pos)` the flipped bits as an (m, n)
-bool mask. perms is (m, n), row i mapping rank-1 (index 0) to the bit
-position holding that rank in frame i; engines that do not sort ignore it.
-Hardware time steps are not the engines' business: `hwmodel` maps stream
-positions to steps.
+shared base's `flip_mask(perms, pos)` walks each hit's parent chain for the
+flipped bits, an (m, n) bool mask. perms is (m, n), row i mapping rank-1
+(index 0) to the bit position holding that rank in frame i; engines that do
+not sort ignore it. `hwmodel` maps stream positions to hardware steps.
 
-HardEngine serves the hard-input weight order, whose pattern syndromes are
-frame-independent: one sorted table holds each distinct pattern syndrome once,
-with the lowest stream row that has it, which is that syndrome's first hit,
-and a search is one binary search.
-
-SoftEngine serves every reliability-sorted stream (orbgrand and the stepped
-schedule), whose syndromes depend on the per-frame reliability permutation,
-by prefix recursion: a pattern minus its top rank is an earlier pattern,
-its parent, so a pattern's syndrome is its parent's XOR one column. The
-spec's `rank_table` names each row's parent, and the engine only checks
-it. Frames go through in slices, stream rows in tiles. Each parent row
-keeps u = syndrome ^ target, filled by weight within its tile, and every
-row hits when u[parent] == sigma[top], half a tile at a time.
+Both find a pattern's syndrome as its parent's XOR one column. HardEngine
+serves the hard-input weight order, whose syndromes are frame-independent,
+by one binary search; SoftEngine serves every reliability-sorted stream
+(orbgrand and the stepped schedule) by prefix recursion over the frames'
+reliability permutations.
 """
 
 from __future__ import annotations
@@ -40,6 +32,7 @@ import numpy as np
 
 from .codes import LinearCode
 from .decoder import DecoderSpec
+from .patterns import chain_ranks, grown_levels
 
 
 def packed_parity_columns(code: LinearCode) -> np.ndarray:
@@ -65,42 +58,49 @@ class HitReport:
 
 
 class _RankPatterns:
-    """An engine's pattern stream as a table of reliability ranks.
-
-    rank_index[row] holds the 0-based ranks flipped by the pattern at stream
-    position row, ascending and padded with n; weights[row] is its flip
-    count. A spec that sorts by reliability maps ranks to bit positions
-    through each frame's perm; otherwise a rank is the bit position itself.
-    The table comes from the spec's `rank_table`, which also names each
-    row's parent; subclasses supply `search`.
+    """An engine's pattern stream as the spec's (parent, top): the pattern
+    at stream position row flips its parent's ranks, none for -1, plus the
+    0-based rank top[row]. A spec that sorts by reliability maps ranks to
+    bit positions through each frame's perm; otherwise a rank is the bit
+    position itself. Subclasses supply `search`.
     """
 
-    def __init__(self, code: LinearCode, spec: DecoderSpec, rank_index: np.ndarray):
-        self.code = code
-        self.spec = spec
-        self.rank_index = rank_index
-        self.weights = np.einsum("ij->i", rank_index < code.n, dtype=np.int8)
-        self.pattern_count = len(rank_index)
+    def __init__(self, code: LinearCode, spec: DecoderSpec):
+        self.code, self.spec = code, spec
+        self.parent, self.top = spec.rank_table(code.n)
+        self.pattern_count = len(self.parent)
+
+    # views built on each call for bench/layers.py's `--trace 1` table
+    # bytes; they go when that trace sizes the engine's own arrays
+    @property
+    def rank_index(self) -> np.ndarray:
+        """Row i: pattern i's 0-based ranks ascending, padded with n."""
+        chain = chain_ranks(self.parent, self.top, np.arange(self.pattern_count), self.code.n)
+        empty = np.empty((self.pattern_count, 0), dtype=np.int32)  # for no patterns
+        return np.sort(np.column_stack([empty, *chain]), axis=1)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Each pattern's flip count, int8."""
+        return np.einsum("ij->i", self.rank_index < self.code.n, dtype=np.int8)
 
     def hit_ranks(self, stream_position: int) -> tuple[int, ...]:
         """1-based reliability ranks of the pattern at a stream position."""
-        w = int(self.weights[stream_position])
-        return tuple(int(r) + 1 for r in self.rank_index[stream_position, :w])
+        chain = chain_ranks(self.parent, self.top, [stream_position], self.code.n)
+        return tuple(int(ranks[0]) + 1 for ranks in chain)[::-1]
 
     def flip_mask(self, perms, stream_position: np.ndarray) -> np.ndarray:
         """Flipped bit positions per frame as an (m, n) bool mask; frames
         with stream_position -1 flip nothing. perms is (m, n), one rank to
         position map per frame, and is read only if the spec sorts."""
         m, n = len(stream_position), self.code.n
-        hit = stream_position >= 0
-        ranks = np.full((m, self.rank_index.shape[1]), n, dtype=np.int64)
-        ranks[hit] = self.rank_index[stream_position[hit]]
-        if self.spec.uses_sorting:
-            padded = np.concatenate([perms, np.full((m, 1), n, dtype=perms.dtype)], axis=1)
-            ranks = np.take_along_axis(padded, ranks, axis=1)
-        mask = np.zeros((m, n + 1), dtype=bool)
-        mask[np.arange(m)[:, None], ranks] = True
-        return mask[:, :n]
+        rows = np.arange(m) * (n + 1)  # each frame's row in flat (m, n + 1) arrays
+        if self.spec.uses_sorting:  # the pad rank n maps to the dropped bit n
+            perms = np.hstack([perms, np.full((m, 1), n, dtype=perms.dtype)]).ravel()
+        mask = np.zeros(m * (n + 1), dtype=bool)
+        for ranks in chain_ranks(self.parent, self.top, stream_position, n):
+            mask[rows + (perms[rows + ranks] if self.spec.uses_sorting else ranks)] = True
+        return mask.reshape(m, n + 1)[:, :n]
 
     def _reports(self, perms, stream_position: np.ndarray) -> list[HitReport]:
         """flip_mask's bits of each frame as a HitReport."""
@@ -124,16 +124,17 @@ class HardEngine(_RankPatterns):
     target's match in sorted_syn names its first hit."""
 
     def __init__(self, code: LinearCode, spec: DecoderSpec):
-        super().__init__(code, spec, spec.rank_table(code.n)[0])
+        super().__init__(code, spec)
         cols = packed_parity_columns(code)
-        cols = np.append(cols, cols.dtype.type(0))  # the pad rank n flips nothing
-        syn = cols[self.rank_index[:, 0]]
-        for j in range(1, self.rank_index.shape[1]):
-            syn ^= cols[self.rank_index[:, j]]
+        # a weight level at a time, a row's parent's syndrome XOR its top column;
+        # the last entry, row -1's, is the empty pattern's 0
+        syn = np.zeros(self.pattern_count + 1, dtype=cols.dtype)
+        for lo, hi in grown_levels(self.parent):
+            syn[lo:hi] = syn[self.parent[lo:hi]] ^ cols[self.top[lo:hi]]
         # an unstable sort: each run of equal syndromes keeps its lowest row,
         # by a run minimum. int32 rows (tables stop at 2**25 patterns), and
         # no temporary outlives its use, or the build's peak memory rises
-        by_syn = np.argsort(syn).astype(np.int32)
+        by_syn = np.argsort(syn[:-1]).astype(np.int32)
         syn = syn[by_syn]
         first = np.ones(len(syn), dtype=bool)  # the start of each run
         np.not_equal(syn[1:], syn[:-1], out=first[1:])
@@ -145,9 +146,8 @@ class HardEngine(_RankPatterns):
 
     @property
     def weight_tables(self) -> list[dict]:
-        """The engine's own arrays under the keys bench/layers.py sizes for
-        its `--trace 1` table bytes; goes when that trace reads the engine's
-        arrays directly."""
+        """The arrays bench/layers.py sizes for its `--trace 1` table bytes,
+        positions the rank_index view; goes when it sizes the engine's own."""
         return [{"positions": self.rank_index, "sorted_syn": self.sorted_syn,
                  "order": self.order}]
 
@@ -178,31 +178,24 @@ class SoftEngine(_RankPatterns):
     a range of slots per level, then tests all its rows in two halves, which
     bounds the gathers. A frame hit below the tile's edge is resolved.
 
-    The parents come with the table from the spec's `rank_table`. A stream
-    without the prefix property (a pattern whose parent is not an earlier
-    row, or is not the pattern minus its top rank) raises a ValueError at
-    construction.
+    A stream with a parent that is not an earlier row, or a top rank not
+    between its parent's and n, raises a ValueError at construction.
     """
 
     slice_frames = 64
     tile_rows = 4096
 
     def __init__(self, code: LinearCode, spec: DecoderSpec):
-        table, parent = spec.rank_table(code.n)
-        super().__init__(code, spec, table)
-        count, n = self.pattern_count, code.n
-        rows = np.arange(count)
-        if ((parent < -1) | (parent >= rows)).any():
+        super().__init__(code, spec)
+        parent, top, count, n = self.parent, self.top, self.pattern_count, code.n
+        if ((parent < -1) | (parent >= np.arange(count))).any():
             raise ValueError("stream has a pattern whose parent is not an earlier row")
-        # column by column, the parent row is the row with its top rank
-        # padded; row -1, the empty pattern, is all pads
-        for j in range(table.shape[1]):
-            got = np.where(parent >= 0, table[parent, j], n)
-            if (got != np.where(self.weights > j + 1, table[:, j], n)).any():
-                raise ValueError("stream has a pattern whose parent is not its prefix")
-        top = table[rows, self.weights - 1]
-        level_of = np.zeros(count + 1, dtype=np.int8)
-        level_of[parent] = self.weights[parent]  # a parent's weight; leaves 0
+        # the empty pattern's top is -1, so a single flip's rank is >= 0
+        if ((top <= np.where(parent >= 0, top[parent], -1)) | (top >= n)).any():
+            raise ValueError(f"stream has a top rank not above its parent's and below {n}")
+        parents = np.flatnonzero(np.bincount(parent + 1, minlength=count + 1)[1:])
+        level_of = np.zeros(count, dtype=np.int8)  # a parent row's weight; leaves 0
+        level_of[parents] = sum(r < n for r in chain_ranks(parent, top, parents, n))
         # slot 0 holds u of the empty pattern, the targets, for parent -1;
         # parent rows take slots in (tile, weight, row) order, a range per level
         slot = np.zeros(count + 1, dtype=np.int32)
@@ -220,8 +213,8 @@ class SoftEngine(_RankPatterns):
                 slot[level] = np.arange(a, self.slots)
                 levels.append((a, self.slots, slot[parent[level]], top[level]))
             self.tiles.append((lo, (lo + hi) // 2, hi, levels))
-        # per row, the slot of its parent's u and its top rank
-        self.parent_slot, self.top = slot[parent], top
+        # per row, the slot of its parent's u
+        self.parent_slot = slot[parent]
 
     def search(self, perms: np.ndarray, columns: np.ndarray, targets: np.ndarray
                ) -> np.ndarray:

@@ -15,8 +15,8 @@ frame use pipeline_cycles; worst-case figures use frame_cycles.
 
 This module owns the time-step numbering. `anchor_steps` counts the steps,
 and `LatencyModel.stream_steps` lays them out as one table over the stream
-positions, reading each pattern's anchor off the same table and parents
-that `patterns.subset_table` builds for the search engine, so a batch of
+positions, from the (parent, top) arrays `patterns.subset_table` builds
+for the search engine (an anchor is a parent's parent), so a batch of
 search results becomes cycle counts by one lookup
 (`cycles_from_steps(stream_steps[pos])`). The per-trace methods
 `time_step`, `frame_cycles` and `pipeline_cycles` are the readable
@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .decoder import ABANDONED, CLEAN, HIT, DecodeTrace
-from .patterns import StepSchedule, subset_table
+from .patterns import StepSchedule, chain_ranks, subset_table
 
 
 def combination_rank(values: Sequence[int], n_total: int) -> int:
@@ -105,11 +105,11 @@ class LatencyModel:
         abandonment step appended, so index -1 serves abandoned frames.
 
         Weights 1 and 2 take steps 1 and 2. From weight 3 on, a pattern's
-        anchor, its first w - 2 ranks, is its parent's parent in the stream
-        table, and a new step starts wherever the anchor changes.
+        anchor, its first w - 2 ranks, is its parent's parent in the stream,
+        and a new step starts wherever the anchor changes.
         """
-        table, parent = subset_table(self.schedule.gammas, self.n)
-        w = (table < self.n).sum(axis=1)
+        parent, top = subset_table(self.schedule.gammas)
+        w = sum(r < self.n for r in chain_ranks(parent, top, np.arange(len(parent)), self.n))
         anchor = np.where(w >= 3, parent[parent], -1)
         new = (w >= 3) & (anchor != np.append(-1, anchor[:-1]))
         steps = np.where(w <= 2, w, 2 + np.cumsum(new))

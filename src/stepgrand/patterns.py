@@ -14,15 +14,12 @@ Lexicographic order on ascending tuples fixes the lowest rank first, which is
 also the order the composite-syndrome hardware sweep visits patterns, so the
 first stream hit and the first hardware hit coincide.
 
-Each stream also has a table form for the engines and the cycle model, built
-in numpy without walking the generator. One builder, `grown_table`, grows
-each (k+1)-set from a k-set, its parent, by a higher rank, and emits every
-weight block in lexicographic order. `subset_table` and `orbgrand_table`
-differ only in how far a set may grow: within gamma_w, or while the rank sum
-stays in bound; orbgrand then sorts its sets into stream order. Each returns
-(table, parent): one row of 0-based ranks per stream position, padded with
-n, and the row of each pattern minus its top rank, always an earlier
-pattern, or -1 for a single flip.
+Each stream also has one array form for the engines and the cycle model,
+(parent, top), built in numpy without walking the generator: per stream
+position, the int32 row of the pattern minus its top rank (-1 for the
+empty pattern), and that 0-based top rank. `grown_table` grows every
+stream; orbgrand then sorts its sets into stream order. `chain_ranks`
+walks a pattern's ranks back down its parents.
 """
 
 from __future__ import annotations
@@ -122,21 +119,17 @@ def build_step_schedule(
     return StepSchedule(alpha, beta, p_max, tuple(entries))
 
 
-def grown_table(n: int, p: int, room: Callable[[int, np.ndarray], int | np.ndarray]
+def grown_table(p: int, room: Callable[[int, np.ndarray], int | np.ndarray]
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sets of at most p 0-based ranks below n, grown from the empty set, as
-    (table, parent).
-
-    Each (k+1)-set is a k-set, its parent, plus one higher rank below
-    room(k, sums) <= n, where sums are the k-sets' 1-based rank sums; growth
-    stops at p ranks or when no set grows. The table holds one ascending
-    int32 row per set, padded with n, in blocks of growing weight, each in
-    lexicographic order; parent[row] is the int32 row of that set minus its
-    top rank, -1 for a single flip.
-    """
-    grown = []
+    """Sets of at most p 0-based ranks as (parent, top), grown from the
+    empty set (row -1): a (k+1)-set is a k-set, its parent, plus one higher
+    rank below room(k, sums), sums being the k-sets' 1-based rank sums,
+    until p ranks or no set grows. Rows come in blocks of growing weight,
+    each in lexicographic order, so parent ascends."""
+    parents, tops = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
     top = np.full(1, -1, dtype=np.int32)  # the empty set, whose children start at 0
     sums = np.zeros(1, dtype=np.int64)
+    base, lo = -1, 0  # the k-sets are rows base..lo - 1; the empty set is -1
     for k in range(p):
         counts = np.maximum(room(k, sums) - top - 1, 0)
         if not counts.any():
@@ -145,19 +138,30 @@ def grown_table(n: int, p: int, room: Callable[[int, np.ndarray], int | np.ndarr
         first = (top + 1 - np.cumsum(counts) + counts).astype(np.int32)
         top = np.arange(counts.sum(), dtype=np.int32) + np.repeat(first, counts)
         sums = np.repeat(sums, counts) + top + 1
-        grown.append((counts, top))
-    table = np.full((sum(len(t) for _, t in grown), max(len(grown), 1)), n, dtype=np.int32)
-    parent = np.empty(len(table), dtype=np.int32)
-    base, lo = -1, 0  # the k-sets are table rows base..lo - 1; the empty set is -1
-    for k, (counts, top) in enumerate(grown):
-        hi = lo + len(top)
-        # a parent's children are consecutive, so each column is a repeat
-        parent[lo:hi] = np.repeat(np.arange(base, lo, dtype=np.int32), counts)
-        for j in range(k):
-            table[lo:hi, j] = np.repeat(table[base:lo, j], counts)
-        table[lo:hi, k] = top
-        base, lo = lo, hi
-    return table, parent
+        parents.append(np.repeat(np.arange(base, lo, dtype=np.int32), counts))
+        tops.append(top)
+        base, lo = lo, lo + len(top)
+    return np.concatenate(parents), np.concatenate(tops)
+
+
+def chain_ranks(parent: np.ndarray, top: np.ndarray, rows, n: int) -> Iterator[np.ndarray]:
+    """The 0-based ranks of the patterns at rows, top first: one array per
+    step down their parent chains until the longest ends, padded with n
+    once a chain reaches -1, the empty pattern, which has no ranks."""
+    rows = np.asarray(rows)
+    while (live := rows >= 0).any():
+        yield np.where(live, top[rows], n)
+        rows = np.where(live, parent[rows], -1)
+
+
+def grown_levels(parent: np.ndarray) -> Iterator[tuple[int, int]]:
+    """grown_table's weight levels as row ranges (lo, hi): parents ascend,
+    so the rows whose parents lie below lo are the level starting at lo."""
+    lo = 0
+    while lo < len(parent):
+        hi = int(np.searchsorted(parent, lo))
+        yield lo, hi
+        lo = hi
 
 
 def subset_teps(gammas: Sequence[int]) -> Iterator[Tep]:
@@ -168,10 +172,10 @@ def subset_teps(gammas: Sequence[int]) -> Iterator[Tep]:
             yield Tep(combo)
 
 
-def subset_table(gammas: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """subset_teps(gammas) as grown_table's (table, parent): weight k + 1
+def subset_table(gammas: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """subset_teps(gammas) as grown_table's (parent, top): weight k + 1
     grows within gammas[k]."""
-    return grown_table(n, len(gammas), lambda k, sums: gammas[k])
+    return grown_table(len(gammas), lambda k, sums: gammas[k])
 
 
 def subset_count(gammas: Sequence[int]) -> int:
@@ -263,26 +267,28 @@ def orbgrand_teps(n: int, lw_max: int | None, p_max: int | None) -> Iterator[Tep
 
 def orbgrand_table(n: int, lw_max: int | None, p_max: int | None
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """orbgrand_teps(n, lw_max, p_max) as grown_table's (table, parent):
+    """orbgrand_teps(n, lw_max, p_max) as grown_table's (parent, top):
     every set within the bounds, then sorted into stream order."""
     lw_max, p_max = _orbgrand_bounds(n, lw_max, p_max)
     # 0-based rank r adds r + 1 to the sum, so it fits while r < lw_max - sum
-    table, parent = grown_table(n, p_max, lambda k, sums: np.minimum(n, lw_max - sums))
-    # 1-based rank sums, pads taken out; einsum sums the narrow rows several
-    # times faster than sum(axis=1)
-    weights = np.einsum("ij->i", table < n, dtype=np.int64)
-    sums = np.einsum("ij->i", table, dtype=np.int64) + weights - (table.shape[1] - weights) * n
-    # rank sum, then parts, then colex: the pads of equal-weight rows tie, so
-    # the columns from last to first compare the largest rank down. The
-    # fields pack, most significant first and each in its bit_length, into
-    # as few 63-bit words as hold them; the keys are unique sets, so
-    # sorting the words sorts the stream
-    fields = [(sums, lw_max), (weights, table.shape[1]), *((c, n) for c in table.T[::-1])]
+    parent, top = grown_table(p_max, lambda k, sums: np.minimum(n, lw_max - sums))
+    # 1-based rank sums (the empty set's 0 last) and flip counts, by level
+    sums = np.zeros(len(parent) + 1, dtype=np.int64)
+    weights = np.zeros(len(parent), dtype=np.int64)
+    for k, (lo, hi) in enumerate(grown_levels(parent), start=1):
+        sums[lo:hi] = sums[parent[lo:hi]] + top[lo:hi] + 1
+        weights[lo:hi] = k
+    # rank sum, then parts, then colex: the ranks top first, which rows of
+    # equal weight pad alike. Each field packs, most significant first and in
+    # its bit_length, into as few 63-bit words as hold them, the ranks walked
+    # as they are packed; keys are unique sets, so sorting them sorts the stream
+    chain = chain_ranks(parent, top, np.arange(len(parent)), n)
+    fields = [(sums[:-1], lw_max), (weights, weights.max(initial=0))]
     words, used = [], 0
-    for values, top in fields:
-        bits = int(top).bit_length()
+    for values, bound in itertools.chain(fields, ((ranks, n) for ranks in chain)):
+        bits = int(bound).bit_length()
         if not words or used + bits > 63:
-            words.append(np.zeros(len(table), dtype=np.int64))
+            words.append(np.zeros(len(parent), dtype=np.int64))
             used = 0
         words[-1] <<= bits
         words[-1] |= values
@@ -292,7 +298,7 @@ def orbgrand_table(n: int, lw_max: int | None, p_max: int | None
     moved = np.empty(len(order) + 1, dtype=np.int32)
     moved[order] = np.arange(len(order), dtype=np.int32)
     moved[-1] = -1
-    return table[order], moved[parent[order]]
+    return moved[parent[order]], top[order]
 
 
 def sort_reliability(llr: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ that they still run against the package.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -19,6 +20,7 @@ from checks import Reference, spot_check  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 from stepgrand.fastpath import HardEngine  # noqa: E402
+from stepgrand.patterns import chain_ranks  # noqa: E402
 from stepgrand.sim import SweepConfig, run_sweep  # noqa: E402
 
 # the capolar128 sweep of each workload: one per decoder family
@@ -43,6 +45,27 @@ def test_hard_tables_keep_the_arrays_the_trace_sizes(references):
     assert isinstance(engine, HardEngine)
     for table in engine.weight_tables:
         assert {"positions", "sorted_syn", "order"} <= set(table)
+
+
+@pytest.mark.parametrize("name", list(FAMILY_SWEEPS))
+def test_trace_views_are_the_walkers_expansion(name, references):
+    # the padded rank table and flip counts that the trace sizes are built
+    # on demand from the engine's (parent, top); they go once the trace
+    # sizes the engine's own arrays
+    engine = references[name].engine
+    ranks = np.column_stack(list(chain_ranks(engine.parent, engine.top,
+                                             np.arange(engine.pattern_count), engine.code.n)))
+    table = [sorted(row) for row in ranks.tolist()]  # ascending, pads of n last
+    if isinstance(engine, HardEngine):
+        (view,) = engine.weight_tables
+        assert view["positions"].dtype == np.int32
+        assert view["positions"].tolist() == table
+        assert view["sorted_syn"] is engine.sorted_syn and view["order"] is engine.order
+    else:
+        assert engine.rank_index.dtype == np.int32
+        assert engine.rank_index.tolist() == table
+        assert engine.weights.dtype == np.int8
+        assert engine.weights.tolist() == (ranks < engine.code.n).sum(axis=1).tolist()
 
 
 @pytest.mark.parametrize("name", list(FAMILY_SWEEPS))

@@ -22,6 +22,7 @@ from stepgrand.fastpath import (
 )
 from stepgrand.gf2 import BitMatrix, BitWord
 from stepgrand.hwmodel import LatencyModel
+from stepgrand.patterns import chain_ranks
 
 
 def literal_outcome(v, code, spec):
@@ -67,8 +68,6 @@ class TestHardEngine:
         stream = [tep.ranks for tep in spec.teps(code.n)]
         assert engine.pattern_count == len(stream)
         assert [engine.hit_ranks(row) for row in range(len(stream))] == stream
-        assert engine.weights.tolist() == [len(r) for r in stream]
-        assert (engine.rank_index[engine.weights == 1, 1:] == code.n).all()
         # one table of the distinct syndromes, strictly increasing, each with
         # the lowest row that has it
         cols = packed_parity_columns(code)
@@ -85,18 +84,14 @@ class TestHardEngine:
         above = np.array([1 << (code.n - code.k)], dtype=cols.dtype)
         targets = np.concatenate([engine.sorted_syn, above])
         assert engine.search(None, None, targets).tolist() == [*engine.order.tolist(), -1]
-        # the view the benchmark's trace sizes holds the engine's own arrays
-        (table,) = engine.weight_tables
-        assert table["positions"] is engine.rank_index
-        assert table["sorted_syn"] is engine.sorted_syn
-        assert table["order"] is engine.order
 
     def test_build_peak_memory(self):
-        # the stable-sort table's build peaked at ~11.26 MB, within the
-        # spec's rank_table, as does this one; the bound leaves a few kB for
-        # the interpreter's own allocations. Carrying the sort's int64
-        # indices through the run minimum, or keeping each temporary until
-        # the end, raises the peak above it
+        # the build peaked at ~11.26 MB while the spec's rank_table filled a
+        # padded (rows x 3) rank table; from (parent, top) alone it peaks at
+        # ~9.44 MB, in the syndrome sort. The bound leaves a few kB for the
+        # interpreter's own allocations. Building that table again, carrying
+        # the sort's int64 indices through the run minimum, or keeping each
+        # temporary until the end raises the peak above it
         code = build_ca_polar(128, 105)
         tracemalloc.start()
         try:
@@ -105,7 +100,12 @@ class TestHardEngine:
         finally:
             tracemalloc.stop()
         assert len(engine.sorted_syn) == 327_229
-        assert peak <= 11_260_000
+        assert peak <= 9_444_000
+        # held: parent, top, sorted_syn and order, 5,414,896 bytes; the
+        # padded rank table and its flip counts held 7,163,048 with the
+        # last two
+        held = sum(a.nbytes for a in vars(engine).values() if isinstance(a, np.ndarray))
+        assert held < 7_163_048
 
     def test_empty_stream_abandons_every_frame(self):
         engine = HardEngine(build_bch(4, 2), GrandabSpec(max_weight=0))
@@ -220,11 +220,19 @@ class SmallTiles(SoftEngine):
     slice_frames = 5
 
 
+def stream_ranks(engine, rows=None):
+    """The ranks of the patterns at rows (default: every row) from the
+    engine's parent chains, top first and padded with n."""
+    rows = np.arange(engine.pattern_count) if rows is None else rows
+    chain = chain_ranks(engine.parent, engine.top, rows, engine.code.n)
+    return np.column_stack([np.empty((len(rows), 0), dtype=np.int32), *chain])
+
+
 def first_match(engine, perm, cols, target):
     """First stream position whose pattern syndrome is target, -1 if none:
     every pattern's syndrome XOR-reduced from its columns, no recursion."""
     sigma = np.append(cols[perm], np.int32(0))
-    syn = np.bitwise_xor.reduce(sigma[engine.rank_index], axis=1)
+    syn = np.bitwise_xor.reduce(sigma[stream_ranks(engine)], axis=1)
     hits = np.flatnonzero(syn == target)
     return int(hits[0]) if hits.size else -1
 
@@ -299,11 +307,12 @@ class TestBatchedSoftSearch:
         code = build_ca_polar(128, 105)
         spec = OrbgrandSpec(lw_max=55)
         engine = SoftEngine(code, spec)
-        assert engine.rank_index.shape[1] == 10
+        weights = (stream_ranks(engine) < code.n).sum(axis=1)
+        assert weights.max() == 10
         assert engine.pattern_count == spec.pattern_count(code.n)
         cols = packed_parity_columns(code)
         rng = np.random.default_rng(31)
-        deep = np.flatnonzero(engine.weights >= 8)
+        deep = np.flatnonzero(weights >= 8)
         rows = np.concatenate([rng.choice(deep, 30), [engine.pattern_count - 1]])
         perms = np.argsort(rng.normal(size=(len(rows), code.n)), axis=1, kind="stable")
         targets = pattern_syndromes(engine, perms, cols, rows)
@@ -314,17 +323,18 @@ class TestBatchedSoftSearch:
         pos = search(engine, frames, cols)
         assert pos.tolist() == [first_match(engine, p, cols, t) for _, p, t in frames]
 
-    @pytest.mark.parametrize("rows, parent, message", [
-        ([[0, 1], [0, 32]], [1, -1], "not an earlier row"),
-        ([[0, 32], [1, 2]], [-1, 0], "not its prefix"),
-        ([[0, 32]], [-2], "not an earlier row"),
-    ], ids=["parent-later", "parent-missing", "parent-below-empty"])
-    def test_rejects_streams_without_the_prefix_property(self, rows, parent, message):
+    @pytest.mark.parametrize("parent, top, message", [
+        ([1, -1], [1, 0], "not an earlier row"),
+        ([-2], [0], "not an earlier row"),
+        ([-1, 0], [3, 3], "not above its parent's and below 32"),
+        ([-1, -1], [0, 32], "not above its parent's and below 32"),
+    ], ids=["parent-later", "parent-below-empty", "top-not-above-parent", "top-outside-n"])
+    def test_rejects_streams_without_the_prefix_property(self, parent, top, message):
         class HandBuilt:
             uses_sorting = True
 
             def rank_table(self, n):
-                return np.array(rows, dtype=np.int32), np.array(parent, dtype=np.int32)
+                return np.array(parent, dtype=np.int32), np.array(top, dtype=np.int32)
 
         with pytest.raises(ValueError, match=message):
             SoftEngine(build_ca_polar(32, 20, crc=None), HandBuilt())
@@ -332,7 +342,7 @@ class TestBatchedSoftSearch:
 
 def parent_rows(spec, n):
     """Per row, whether it is some row's parent, from the spec's table."""
-    parent = spec.rank_table(n)[1]
+    parent = spec.rank_table(n)[0]
     is_parent = np.zeros(len(parent), dtype=bool)
     is_parent[parent[parent >= 0]] = True
     return is_parent
@@ -341,7 +351,7 @@ def parent_rows(spec, n):
 def pattern_syndromes(engine, perms, cols, rows):
     """Syndrome of the pattern at rows[i] under perms[i], XOR-reduced."""
     sigma = np.concatenate([cols[perms], np.zeros((len(rows), 1), cols.dtype)], axis=1)
-    ranks = engine.rank_index[rows].astype(np.int64)
+    ranks = stream_ranks(engine, rows)
     return np.bitwise_xor.reduce(np.take_along_axis(sigma, ranks, axis=1), axis=1)
 
 
@@ -487,6 +497,21 @@ class TestBuildEngine:
                 got = engine.decode_frame(perm, cols, target)
                 assert (got.stream_position, got.positions) == want
 
+    @pytest.mark.parametrize("engine_class, spec", [(HardEngine, GrandabSpec(3)),
+                                                    (SoftEngine, StepGrandSpec(1, 6, 3))],
+                             ids=["hard", "soft"])
+    def test_no_hit_has_no_ranks(self, engine_class, spec):
+        # -1, an abandoned frame, names the empty pattern: no ranks, no flips
+        # (the last pattern's ranks were (4, 5, 6) for the soft case)
+        code = build_ca_polar(32, 20, crc=None)
+        engine = engine_class(code, spec)
+        assert engine.hit_ranks(-1) == ()
+        last = engine.pattern_count - 1
+        assert len(engine.hit_ranks(last)) == len(list(spec.teps(code.n))[-1].ranks) == 3
+        perms = np.tile(np.arange(code.n), (2, 1))
+        mask = engine.flip_mask(perms, np.array([-1, last]))
+        assert not mask[0].any() and mask[1].sum() == 3
+
     def test_empty_report_for_unmatchable_syndrome(self):
         code = build_bch(4, 2)
         engine = HardEngine(code, GrandabSpec(max_weight=1))
@@ -577,7 +602,7 @@ class TestSteppedSchedule:
         assert pos.tolist() == [first_match(engine, p, cols, t) for _, p, t in frames]
         assert (pos >= 0).any() and (pos < 0).any()
         for (_, perm, _), p, row in zip(frames, pos, flips):
-            ranks = engine.rank_index[p, :engine.weights[p]] if p >= 0 else []
+            ranks = [r - 1 for r in engine.hit_ranks(p)]
             assert tuple(np.flatnonzero(row)) == tuple(sorted(perm[ranks]))
         # the literal decoder on a few of them
         for v, perm, target in frames[:6]:
@@ -596,8 +621,8 @@ class TestSteppedSchedule:
         pos = search(engine, frames, cols)
         want = [first_match(engine, p, cols, t) for _, p, t in frames]
         assert pos.tolist() == want
-        weights = np.where(pos >= 0, engine.weights[pos], 2)
-        assert steps[pos].tolist() == weights.tolist()
+        weights = [len(engine.hit_ranks(p)) if p >= 0 else 2 for p in pos]
+        assert steps[pos].tolist() == weights
         assert (pos >= 0).any() and (pos < 0).any()
 
 

@@ -16,6 +16,7 @@ from stepgrand.patterns import (
     StepSchedule,
     Tep,
     build_step_schedule,
+    chain_ranks,
     distinct_partitions,
     grown_table,
     map_ranks,
@@ -110,18 +111,28 @@ def test_step_stream_order_and_bounds():
         assert per_entry[hw] == expected  # lexicographic within an entry
 
 
+def walked(parent, top, n, rows):
+    """chain_ranks over rows as one (len(rows), steps) array: each row's
+    ranks top first, padded with n."""
+    chain = chain_ranks(parent, top, rows, n)
+    return np.column_stack([np.empty((len(rows), 0), dtype=np.int32), *chain])
+
+
 @pytest.mark.parametrize("size", range(9))
 def test_grown_table_matches_combinations(size):
-    # ranks grow below size; pads are n = size + 2, so room, not n, bounds them
+    # ranks grow below size; the walker pads with n = size + 2, so room,
+    # not n, bounds them
     n = size + 2
     for p in range(size + 2):
         combos = [c for w in range(1, p + 1) for c in itertools.combinations(range(size), w)]
-        table, parent = grown_table(n, p, lambda k, sums: size)
-        width = max(min(p, size), 1)
-        assert table.dtype == np.int32 and table.shape == (len(combos), width)
-        assert parent.dtype == np.int32 and parent.shape == (len(combos),)
-        assert [tuple(r for r in row if r < n) for row in table.tolist()] == combos
+        parent, top = grown_table(p, lambda k, sums: size)
+        assert parent.dtype == top.dtype == np.int32
+        assert parent.shape == top.shape == (len(combos),)
+        ranks = walked(parent, top, n, np.arange(len(combos)))
+        assert [tuple(r for r in row[::-1] if r < n) for row in ranks.tolist()] == combos
         assert [combos.index(c[:-1]) if len(c) > 1 else -1 for c in combos] == parent.tolist()
+        # weight blocks in turn, so parents ascend
+        assert (np.diff(parent) >= 0).all()
 
 
 def test_grandab_small_and_empty():
@@ -255,16 +266,26 @@ RANK_TABLE_CASES = [
 
 @pytest.mark.parametrize("n, spec", RANK_TABLE_CASES, ids=str)
 def test_rank_table_is_the_stream(n, spec):
-    table, parent = spec.rank_table(n)
+    parent, top = spec.rank_table(n)
     stream = [tep.ranks for tep in spec.teps(n)]
-    width = max(map(len, stream), default=1)
-    assert table.dtype == np.int32 and table.shape == (len(stream), width)
-    assert [tuple(r + 1 for r in row if r < n) for row in table.tolist()] == stream
-    assert (np.sort(table, axis=1) == table).all()  # pads of n last
-    # each pattern's parent is the stream index of the pattern minus its top rank
-    index = {ranks: i for i, ranks in enumerate(stream)}
-    assert parent.dtype == np.int32
-    assert parent.tolist() == [index[ranks[:-1]] if len(ranks) > 1 else -1 for ranks in stream]
+    assert parent.dtype == top.dtype == np.int32
+    assert parent.shape == top.shape == (len(stream),)
+    # each pattern is an earlier row, or the empty pattern -1, plus a rank
+    # above that row's top and below n
+    rows = np.arange(len(stream))
+    assert ((parent >= -1) & (parent < rows)).all()
+    assert (top > np.where(parent >= 0, top[parent], -1)).all() and (top < n).all()
+    # the walker's expansion, top first and padded with n, row by row
+    ranks = walked(parent, top, n, rows)
+    assert ranks.dtype == np.int32
+    assert ranks.shape == (len(stream), max(map(len, stream), default=0))
+    real = ranks < n
+    assert (ranks[~real] == n).all() and (real[:, :-1] >= real[:, 1:]).all()
+    assert [tuple(r + 1 for r in row[::-1] if r < n) for row in ranks.tolist()] == stream
+    for row in [*rows[::max(len(rows) // 3, 1)], *rows[-1:]]:
+        one = [int(step[0]) for step in chain_ranks(parent, top, [row], n)]
+        assert one == [r - 1 for r in stream[row][::-1]]
+    assert list(chain_ranks(parent, top, [-1], n)) == []  # the empty pattern
 
 
 def python_int_orbgrand_count(n, lw, p):

@@ -21,6 +21,7 @@ from stepgrand.decoder import (
 from stepgrand.fastpath import build_engine, packed_parity_columns
 from stepgrand.gf2 import BitMatrix, BitWord, identity
 from stepgrand.hwmodel import LatencyModel
+from stepgrand.patterns import chain_ranks
 from stepgrand.sim import (
     CHUNK_FRAMES,
     SweepConfig,
@@ -518,14 +519,16 @@ class TestStepCycles:
             targets[i] = np.bitwise_xor.reduce(cols[perms[i, ranks]])
         pos = engine.search(perms, cols, targets)
         # brute force: every pattern's syndrome XOR-reduced from its columns
+        ranks = np.column_stack(list(chain_ranks(engine.parent, engine.top,
+                                                 np.arange(engine.pattern_count), code.n)))
         for perm, target, p in zip(perms, targets, pos):
-            syn = np.bitwise_xor.reduce(np.append(cols[perm], 0)[engine.rank_index], axis=1)
+            syn = np.bitwise_xor.reduce(np.append(cols[perm], 0)[ranks], axis=1)
             hits = np.flatnonzero(syn == target)
             assert p == (hits[0] if hits.size else -1)
         frame_lat, pipe = model.cycles_from_steps(model.stream_steps[pos])
-        weights = engine.weights[pos[pos >= 0]]
+        weights = [len(engine.hit_ranks(p)) for p in pos[pos >= 0]]
         assert (pos < 0).sum() > 40
-        assert {1, 2, 3, 4, 5, 6} <= set(weights.tolist())
+        assert {1, 2, 3, 4, 5, 6} <= set(weights)
         for p, f, c in zip(pos.tolist(), frame_lat.tolist(), pipe.tolist()):
             if p < 0:
                 trace = DecodeTrace(outcome=ABANDONED)
