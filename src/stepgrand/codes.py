@@ -2,9 +2,9 @@
 
 A code is its generator matrix G (k x n), a full-rank parity check H
 ((n-k) x n) with H G^T = 0, and a right inverse of G for message recovery.
-Constructors: cyclic BCH codes from GF(2^m) minimal polynomials, CRC-aided
-polar codes from a reliability ordering, plus alist (parity check) and dense
-hex (generator) file formats.
+Constructors: cyclic BCH codes whose generator is the product of (x + alpha^e)
+over its roots alpha^e in GF(2^m), CRC-aided polar codes from a reliability
+ordering, plus alist (parity check) and dense hex (generator) file formats.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .gf2 import (
     mat_mul_transposed,
     mat_vec,
     nullspace_basis,
-    rank,
     right_inverse,
     row_basis,
     vec_mat,
@@ -97,9 +96,9 @@ def code_from_parity_check(name: str, parity_check: BitMatrix) -> LinearCode:
     A full-row-rank matrix is kept as given; redundant rows are reduced to a
     basis (the code itself is unchanged either way).
     """
-    h = parity_check
-    if rank(h) != h.n_rows:
-        h = row_basis(h)
+    h = row_basis(parity_check)
+    if h.n_rows == parity_check.n_rows:
+        h = parity_check
     g = nullspace_basis(h)
     return LinearCode(
         name=name,
@@ -128,83 +127,13 @@ DEFAULT_PRIMITIVE_POLYS: dict[int, int] = {
 }
 
 
-class _GF2m:
-    """Log/antilog tables for GF(2^m) under a primitive polynomial."""
-
-    def __init__(self, m: int, primitive_poly: int):
-        if primitive_poly >> m != 1:
-            raise ValueError(f"primitive polynomial must have degree {m}")
-        self.m = m
-        self.order = (1 << m) - 1
-        antilog = []
-        x = 1
-        for _ in range(self.order):
-            antilog.append(x)
-            x <<= 1
-            if x >> m:
-                x ^= primitive_poly
-        if len(set(antilog)) != self.order or x != 1:
-            raise ValueError(f"polynomial {primitive_poly:#x} is not primitive")
-        self.antilog = antilog
-        self.log = {v: i for i, v in enumerate(antilog)}
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.antilog[(self.log[a] + self.log[b]) % self.order]
-
-    def power(self, exponent: int) -> int:
-        return self.antilog[exponent % self.order]
-
-
-def _minimal_polynomial(field: _GF2m, exponent: int) -> list[int]:
-    """Minimal polynomial over GF(2) of alpha^exponent, ascending coefficients."""
-    conj = set()
-    e = exponent % field.order
-    while e not in conj:
-        conj.add(e)
-        e = (e * 2) % field.order
-    poly = [1]
-    for e in sorted(conj):
-        root = field.power(e)
-        nxt = [0] * (len(poly) + 1)
-        for d, c in enumerate(poly):
-            nxt[d + 1] ^= c
-            nxt[d] ^= field.mul(c, root)
-        poly = nxt
-    if any(c not in (0, 1) for c in poly):
-        raise AssertionError("minimal polynomial left GF(2)")
-    return poly
-
-
-def _poly_mul_gf2(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] ^= bj
-    return out
-
-
-def _poly_mod_gf2(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    a = list(a)
-    while len(a) >= len(b) and any(a):
-        if a[-1]:
-            off = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[off + i] ^= c
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def bch_generator_polynomial(
     m: int, t: int, primitive_poly: int | None = None
 ) -> tuple[int, ...]:
     """Generator polynomial of the narrow-sense BCH code over GF(2^m) that
-    corrects t errors: lcm of the minimal polynomials of alpha^1, alpha^3,
-    ..., alpha^(2t-1). Ascending coefficients."""
+    corrects t errors: the product of (x + alpha^e) over alpha^1, alpha^3,
+    ..., alpha^(2t-1) and their conjugates alpha^(2^i e). Ascending
+    coefficients."""
     if m < 3:
         raise ValueError(f"m must be >= 3, got {m}")
     if t < 1:
@@ -216,19 +145,29 @@ def bch_generator_polynomial(
             primitive_poly = DEFAULT_PRIMITIVE_POLYS[m]
         except KeyError:
             raise ValueError(f"no default primitive polynomial for m={m}") from None
-    field = _GF2m(m, primitive_poly)
-    g = [1]
-    seen: set[frozenset[int]] = set()
-    for e in range(1, 2 * t, 2):
-        coset = frozenset((e * (1 << i)) % field.order for i in range(m))
-        if coset in seen:
-            continue
-        seen.add(coset)
-        g = _poly_mul_gf2(g, _minimal_polynomial(field, e))
-    n = field.order
-    x_n_1 = [1] + [0] * (n - 1) + [1]
-    if _poly_mod_gf2(x_n_1, g):
-        raise AssertionError("generator polynomial does not divide x^n + 1")
+    if primitive_poly >> m != 1:
+        raise ValueError(f"primitive polynomial must have degree {m}")
+    order = (1 << m) - 1
+    antilog = []
+    x = 1
+    for _ in range(order):
+        antilog.append(x)
+        x <<= 1
+        if x >> m:
+            x ^= primitive_poly
+    if len(set(antilog)) != order or x != 1:
+        raise ValueError(f"polynomial {primitive_poly:#x} is not primitive")
+    log = {v: i for i, v in enumerate(antilog)}
+    roots = sorted({(e << i) % order for e in range(1, 2 * t, 2) for i in range(m)})
+    g = [1]  # coefficients in GF(2^m) until the last root is in
+    for e in roots:
+        nxt = [0] + g  # x * g, plus alpha^e * g below
+        for d, c in enumerate(g):
+            if c:
+                nxt[d] ^= antilog[(log[c] + e) % order]
+        g = nxt
+    if any(c > 1 for c in g):
+        raise AssertionError("generator polynomial left GF(2)")
     return tuple(g)
 
 

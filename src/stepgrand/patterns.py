@@ -109,9 +109,6 @@ def build_step_schedule(
                 f"subset size {gamma} is smaller than weight {hw}; "
                 f"increase beta (beta >= p_max keeps every entry feasible)"
             )
-    for (g_prev, _), (g_next, _) in zip(entries, entries[1:]):
-        if g_next >= g_prev:
-            raise ValueError("subset sizes must strictly decrease")
     if n is not None and entries[0][0] > n:
         raise ValueError(
             f"largest subset {entries[0][0]} exceeds block length n={n}"

@@ -228,7 +228,8 @@ def _awgn_frames(rng: np.random.Generator, ebn0_db: float, frames_used: int
 
 
 def _syndromes(hard: np.ndarray) -> np.ndarray:
-    """Packed syndromes of the rows of hard, one int64 per word."""
+    """Packed syndromes of the rows of hard, one per word, in the dtype of
+    `packed_parity_columns` (int32 up to 31 parity bits, int64 up to 63)."""
     return np.bitwise_xor.reduce(_STATE["cols"] * hard, axis=1)
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -109,6 +111,16 @@ class TestBch:
             bch_generator_polynomial(4, 1, primitive_poly=0b11111)
         with pytest.raises(ValueError, match="degree"):
             bch_generator_polynomial(4, 1, primitive_poly=0b1011)
+
+
+def test_generators_pinned_for_m_up_to_8():
+    # every valid (m, t) for m = 3..8, ascending; the digest was taken from
+    # the construction by lcm of minimal polynomials
+    table = [[m, t, list(bch_generator_polynomial(m, t))]
+             for m in range(3, 9) for t in range(1, 1 << (m - 1))]
+    assert len(table) == 246
+    digest = hashlib.sha256(json.dumps(table).encode()).hexdigest()[:16]
+    assert digest == "ef7355cf750924f8"
 
 
 class TestCrc:

@@ -81,6 +81,23 @@ def test_schedule_invariants_over_grid():
                 assert s.entries[-1][0] == beta  # final subset is beta wide
 
 
+def test_every_built_schedule_strictly_decreases():
+    built = 0
+    for alpha in range(1, 7):
+        for beta in range(1, 13):
+            for p_max in range(1, 25):
+                try:
+                    s = build_step_schedule(alpha, beta, p_max)
+                except ValueError as exc:
+                    assert "does not divide" in str(exc) or "smaller than weight" in str(exc)
+                    continue
+                built += 1
+                gammas = s.gammas
+                assert all(a > b for a, b in zip(gammas, gammas[1:]))
+                assert all(g >= h for g, h in s.entries)
+    assert built == 170
+
+
 def test_step_stream_tiny_schedule():
     s = StepSchedule(1, 1, 2, ((3, 1), (2, 2)))
     got = [t.ranks for t in subset_teps(s.gammas)]
