@@ -23,6 +23,7 @@ from .gf2 import (
     mat_mul,
     mat_mul_transposed,
     mat_vec,
+    nullspace_and_right_inverse,
     nullspace_basis,
     right_inverse,
     row_basis,
@@ -78,8 +79,7 @@ class LinearCode:
 
 def code_from_generator(name: str, generator: BitMatrix) -> LinearCode:
     """Build a code from a full-row-rank generator; raises on rank deficiency."""
-    h = nullspace_basis(generator)
-    gi = right_inverse(generator)  # raises ValueError if rank < k
+    h, gi = nullspace_and_right_inverse(generator)  # raises ValueError if rank < k
     return LinearCode(
         name=name,
         n=generator.n_cols,

@@ -22,6 +22,13 @@ serves the hard-input weight order, whose syndromes are frame-independent,
 by one binary search; SoftEngine serves every reliability-sorted stream
 (orbgrand and the stepped schedule) by prefix recursion over the frames'
 reliability permutations.
+
+On a code whose codewords all have even weight (CA-polar, any code with an
+overall parity bit), a pattern e turns a hard word y into a codeword only
+if wt(e) and wt(y) have the same parity, and `weight_parity_mask` reads
+wt(y) mod 2 off y's syndrome. SoftEngine splits the frames into these two
+parity classes and tests each against the rows of its own parity only, half
+the stream; on other codes (odd-length BCH) there is one class.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import numpy as np
 
 from .codes import LinearCode
 from .decoder import DecoderSpec
+from .gf2 import row_combination
 from .patterns import chain_ranks, grown_levels
 
 
@@ -43,6 +51,23 @@ def packed_parity_columns(code: LinearCode) -> np.ndarray:
         raise ValueError(f"{code.name} has {bits} parity bits; syndromes"
                          " pack into at most 63")
     return np.array(code.parity_columns, dtype=np.int32 if bits <= 31 else np.int64)
+
+
+def weight_parity_mask(code: LinearCode) -> int | None:
+    """A syndrome mask a with a·H = all ones, so parity(a & syndrome(y)) is
+    the weight parity of every word y; None when the all-ones word is not in
+    H's row space, that is, when some codeword has odd weight."""
+    return row_combination(code.parity_check, (1 << code.n) - 1)
+
+
+def _parity(x: np.ndarray, bits: int) -> np.ndarray:
+    """Per element of a nonnegative integer array below 2**bits, the parity
+    of its bits, folded by halves."""
+    shift = 1 << max(bits - 1, 0).bit_length()  # the least power of two >= bits
+    while shift > 1:
+        shift //= 2
+        x = x ^ (x >> shift)
+    return x & 1
 
 
 @dataclass(frozen=True)
@@ -175,15 +200,28 @@ class SoftEngine(_RankPatterns):
     working set small, in a (rows x frames) layout of the columns' dtype;
     stream rows in tiles of tile_rows, whose edges are block_edges. A tile
     fills the u of its parent rows (rows some row descends from) by weight,
-    a range of slots per level, then tests all its rows in two halves, which
-    bounds the gathers. A frame hit below the tile's edge is resolved.
+    a range of slots per level, then tests its rows in pieces of at most
+    half a tile, which bounds the gathers. A frame hit below the tile's
+    edge is resolved.
+
+    On a code whose codewords all have even weight, a pattern can match a
+    hard word only if both have the same weight parity, which the frame's
+    target gives as parity(class_mask & target) (`weight_parity_mask`). So
+    each frame is in class 0 or 1, a slice holds one class, and it tests
+    only the rows whose weight has its class's parity. Each tile keeps its
+    rows in test order, the even-weight rows then the odd-weight ones, each
+    in stream order: parent_slot is in test order, and test_rows maps a
+    test-order row to its offset in the tile, so a hit resolves to its
+    stream position. On other codes class_mask is 0, every frame and row is
+    in class 0, and test order is stream order.
 
     A stream with a parent that is not an earlier row, or a top rank not
     between its parent's and n, raises a ValueError at construction.
     """
 
     slice_frames = 64
-    tile_rows = 4096
+    tile_rows = 4096  # below 2**15, for the int16 test_rows
+    compact_live = 0.5  # drop resolved frames once at most this share is live
 
     def __init__(self, code: LinearCode, spec: DecoderSpec):
         super().__init__(code, spec)
@@ -196,15 +234,26 @@ class SoftEngine(_RankPatterns):
         parents = np.flatnonzero(np.bincount(parent + 1, minlength=count + 1)[1:])
         level_of = np.zeros(count, dtype=np.int8)  # a parent row's weight; leaves 0
         level_of[parents] = sum(r < n for r in chain_ranks(parent, top, parents, n))
+        mask = weight_parity_mask(code)
+        self.class_mask = 0 if mask is None else mask
+        # a row's class: its weight's parity, its parent's weight + 1; the
+        # last row is no row's parent, so level_of[-1] is the empty pattern's 0
+        row_class = np.zeros(count, dtype=np.int8)
+        if mask is not None:
+            row_class = (level_of[parent] + 1) & 1
         # slot 0 holds u of the empty pattern, the targets, for parent -1;
         # parent rows take slots in (tile, weight, row) order, a range per level
         slot = np.zeros(count + 1, dtype=np.int32)
         self.slots = 1
         self.block_edges = [*range(0, count, self.tile_rows), count]
-        # per tile: its edges lo, mid, hi; its levels by weight, (slot a,
-        # slot b, parent slots, top ranks)
+        # per tile: its edges lo, hi; its levels by weight, (slot a, slot b,
+        # parent slots, top ranks); per class, its pieces of test-order rows
         self.tiles = []
-        for lo, hi in zip(self.block_edges, self.block_edges[1:]):
+        # each tile's even rows, then its odd rows: stream rows in test order
+        even, odd = np.flatnonzero(row_class == 0), np.flatnonzero(row_class)
+        at_even, at_odd = (np.searchsorted(x, self.block_edges) for x in (even, odd))
+        order, offsets = [], []
+        for t, (lo, hi) in enumerate(zip(self.block_edges, self.block_edges[1:])):
             r = np.arange(lo, hi, dtype=np.int32)  # tables stop at 2**25 rows
             w = level_of[lo:hi]
             levels = []
@@ -212,9 +261,15 @@ class SoftEngine(_RankPatterns):
                 a, self.slots = self.slots, self.slots + level.size
                 slot[level] = np.arange(a, self.slots)
                 levels.append((a, self.slots, slot[parent[level]], top[level]))
-            self.tiles.append((lo, (lo + hi) // 2, hi, levels))
-        # per row, the slot of its parent's u
-        self.parent_slot = slot[parent]
+            order += even[at_even[t]:at_even[t + 1]], odd[at_odd[t]:at_odd[t + 1]]
+            offsets += order[-2] - lo, order[-1] - lo
+            edge, most = lo + at_even[t + 1] - at_even[t], self.tile_rows // 2
+            pieces = [[(h, min(h + most, b)) for h in range(a, b, most)]
+                      for a, b in ((lo, edge), (edge, hi))]
+            self.tiles.append((lo, hi, levels, pieces))
+        # per test-order row, its offset in its tile and the slot of its parent's u
+        self.test_rows = np.concatenate([np.empty(0, dtype=np.int16), *offsets], dtype=np.int16)
+        self.parent_slot = slot[parent[np.concatenate([np.empty(0, dtype=np.int64), *order])]]
 
     def search(self, perms: np.ndarray, columns: np.ndarray, targets: np.ndarray
                ) -> np.ndarray:
@@ -223,42 +278,55 @@ class SoftEngine(_RankPatterns):
         perms is (m, n): row i maps rank-1 (index 0) to the bit position
         holding that rank in frame i; targets are the m nonzero syndromes.
         """
-        m = len(targets)
-        pos = np.full(m, -1, dtype=np.int64)
-        for lo in range(0, m, self.slice_frames):
-            hi = min(lo + self.slice_frames, m)
-            self._search_slice(columns[perms[lo:hi]], targets[lo:hi], pos[lo:hi])
+        pos = np.empty(len(targets), dtype=np.int64)
+        frame_class = _parity(targets & self.class_mask, self.class_mask.bit_length())
+        for c in (0, 1):
+            frames = np.flatnonzero(frame_class == c)
+            # a class of every frame, as on one-class codes, is sliced in place
+            every = len(frames) == len(targets)
+            tops = {}  # a piece's top ranks in test order, by its first row
+            for lo in range(0, len(frames), self.slice_frames):
+                hi = lo + self.slice_frames
+                f = slice(lo, hi) if every else frames[lo:hi]
+                pos[f] = self._search_slice(columns[perms[f]], targets[f], c, tops)
         return pos
 
-    def _search_slice(self, sigma, targets, pos) -> None:
-        """Fill pos (a view) for one slice; sigma[f, r] is the syndrome of a
-        lone flip at frame f's rank r."""
+    def _search_slice(self, sigma, targets, c, tops) -> np.ndarray:
+        """Stream positions for one slice of class c frames; sigma[f, r] is
+        the syndrome of a lone flip at frame f's rank r. tops caches each
+        piece's top ranks across the slices of one class."""
         frames = np.arange(len(targets))
+        pos = np.empty(len(frames), dtype=np.int64)
         first = np.full(len(frames), self.pattern_count)
         sigma = np.ascontiguousarray(sigma.T)  # (ranks x frames), like u
         u = np.empty((self.slots, len(frames)), dtype=sigma.dtype)
         u[0] = targets
-        for lo, mid, hi, levels in self.tiles:
+        for lo, hi, levels, pieces in self.tiles:
             for a, b, parent_slot, top in levels:
                 # parent slots lie below a; clip, as a raising take buffers out
                 level = u[a:b]
                 np.take(u[:a], parent_slot, axis=0, out=level, mode="clip")
                 level ^= np.take(sigma, top, axis=0)
-            for h0, h1 in ((lo, mid), (mid, hi)):
-                hit = (np.take(u, self.parent_slot[h0:h1], axis=0)
-                       == np.take(sigma, self.top[h0:h1], axis=0))
-                at, frame = np.divmod(np.flatnonzero(hit), len(frames))
-                np.minimum.at(first, frame, h0 + at)
+            for h0, h1 in pieces[c]:
+                ranks = tops.get(h0)
+                if ranks is None:
+                    ranks = tops[h0] = self.top[lo:hi][self.test_rows[h0:h1]]
+                hit = np.flatnonzero(np.take(u, self.parent_slot[h0:h1], axis=0)
+                                     == np.take(sigma, ranks, axis=0))
+                if hit.size:
+                    at, frame = np.divmod(hit, len(frames))
+                    np.minimum.at(first, frame, np.add(self.test_rows[h0 + at], lo,
+                                                       dtype=np.int64))
             live = first >= hi
-            if np.count_nonzero(live) <= 3 * len(frames) // 4:
-                # drop resolved frames once a quarter of them are; compress
-                # keeps the rows C-ordered for the row gathers
+            if np.count_nonzero(live) <= self.compact_live * len(frames):
+                # compress keeps the rows C-ordered for the row gathers
                 pos[frames[~live]] = first[~live]
                 if not live.any():
-                    return
+                    return pos
                 frames, first = frames[live], first[live]
                 u, sigma = (np.compress(live, a, axis=1) for a in (u, sigma))
         pos[frames] = np.where(first < self.pattern_count, first, -1)
+        return pos
 
     # bound in SoftEngine's own namespace: bench/layers.py patches the
     # engine's methods by class attribute

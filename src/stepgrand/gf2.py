@@ -244,19 +244,7 @@ def nullspace_basis(m: BitMatrix) -> BitMatrix:
     For an m with r = rank, the result is (n_cols - r) x n_cols and has full
     row rank. A full-column-rank m yields a 0 x n_cols matrix.
     """
-    rows, pivots = _row_reduce(list(m.rows), m.n_cols)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(m.n_cols):
-        if f in pivot_set:
-            continue
-        v = 1 << f
-        fmask = 1 << f
-        for j, p in enumerate(pivots):
-            if rows[j] & fmask:
-                v |= 1 << p
-        basis.append(v)
-    return BitMatrix(len(basis), m.n_cols, tuple(basis))
+    return _nullspace(*_row_reduce(list(m.rows), m.n_cols), m.n_cols)
 
 
 def right_inverse(m: BitMatrix) -> BitMatrix:
@@ -267,9 +255,13 @@ def right_inverse(m: BitMatrix) -> BitMatrix:
     columns p_1..p_k, then scattering the rows of e into rows p_1..p_k of a
     zero matrix gives a right inverse.
     """
+    return nullspace_and_right_inverse(m)[1]
+
+
+def nullspace_and_right_inverse(m: BitMatrix) -> tuple[BitMatrix, BitMatrix]:
+    """(nullspace_basis(m), right_inverse(m)) from one reduction."""
     k = m.n_rows
-    aug = [row | (1 << (m.n_cols + i)) for i, row in enumerate(m.rows)]
-    reduced, pivots = _row_reduce(aug, m.n_cols)
+    reduced, pivots = _transform_reduce(m)
     if len(pivots) != k:
         raise ValueError(
             f"matrix has row rank {len(pivots)} < {k}; no right inverse exists"
@@ -277,4 +269,41 @@ def right_inverse(m: BitMatrix) -> BitMatrix:
     x_rows = [0] * m.n_cols
     for j, p in enumerate(pivots):
         x_rows[p] = reduced[j] >> m.n_cols
-    return BitMatrix(m.n_cols, k, tuple(x_rows))
+    return _nullspace(reduced, pivots, m.n_cols), BitMatrix(m.n_cols, k, tuple(x_rows))
+
+
+def row_combination(m: BitMatrix, v: int) -> int | None:
+    """A packed a with a @ m = v (bit i of a selects row i of m), or None
+    when v is not in the row space of m."""
+    reduced, pivots = _transform_reduce(m)
+    low, a = (1 << m.n_cols) - 1, 0
+    for j, p in enumerate(pivots):  # RREF: only row j has bit p
+        if v >> p & 1:
+            v ^= reduced[j] & low
+            a ^= reduced[j] >> m.n_cols
+    return None if v else a
+
+
+def _transform_reduce(m: BitMatrix) -> tuple[list[int], list[int]]:
+    """Reduce m's rows with the identity appended above bit n_cols: the low
+    n_cols bits reduce as m alone would, with the same pivots, and the high
+    bits of a reduced row say which rows of m it combines."""
+    aug = [row | (1 << (m.n_cols + i)) for i, row in enumerate(m.rows)]
+    return _row_reduce(aug, m.n_cols)
+
+
+def _nullspace(rows: list[int], pivots: list[int], n_cols: int) -> BitMatrix:
+    """nullspace_basis from a reduction's rows and pivots; bits at n_cols
+    and above are ignored."""
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(n_cols):
+        if f in pivot_set:
+            continue
+        v = 1 << f
+        fmask = 1 << f
+        for j, p in enumerate(pivots):
+            if rows[j] & fmask:
+                v |= 1 << p
+        basis.append(v)
+    return BitMatrix(len(basis), n_cols, tuple(basis))

@@ -23,7 +23,14 @@ from stepgrand.codes import (
     save_alist,
     save_dense_generator,
 )
-from stepgrand.gf2 import BitMatrix, BitWord, mat_mul_transposed, rank
+from stepgrand.gf2 import (
+    BitMatrix,
+    BitWord,
+    mat_mul_transposed,
+    nullspace_basis,
+    rank,
+    right_inverse,
+)
 
 # MATLAB: bchgenpoly(127, 106), ascending powers of x.
 BCH_127_106_GENPOLY = [1, 1, 0, 0, 0, 1, 1, 1, 1, 0, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 0, 1]
@@ -121,6 +128,22 @@ def test_generators_pinned_for_m_up_to_8():
     assert len(table) == 246
     digest = hashlib.sha256(json.dumps(table).encode()).hexdigest()[:16]
     assert digest == "ef7355cf750924f8"
+
+
+def test_parity_checks_and_right_inverses_pinned():
+    # every BCH code with m = 3..7 and five CA-polar codes: code_from_generator
+    # reduces the generator once for both H and its right inverse; the digest
+    # was taken from two separate reductions
+    codes = [build_bch(m, t) for m in range(3, 8) for t in range(1, 1 << (m - 1))]
+    codes += [build_ca_polar(128, 105), build_ca_polar(128, 80), build_ca_polar(128, 64),
+              build_ca_polar(64, 40), build_ca_polar(32, 20, crc=None)]
+    table = [[c.name, c.parity_check.rows, c.generator_right_inverse.rows] for c in codes]
+    assert len(table) == 124
+    digest = hashlib.sha256(json.dumps(table).encode()).hexdigest()[:16]
+    assert digest == "4e76d1f3b0951a69"
+    for c in codes[-5:]:
+        assert c.parity_check == nullspace_basis(c.generator)
+        assert c.generator_right_inverse == right_inverse(c.generator)
 
 
 class TestCrc:

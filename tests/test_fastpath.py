@@ -17,10 +17,12 @@ from stepgrand.fastpath import (
     HardEngine,
     HitReport,
     SoftEngine,
+    _parity,
     build_engine,
     packed_parity_columns,
+    weight_parity_mask,
 )
-from stepgrand.gf2 import BitMatrix, BitWord
+from stepgrand.gf2 import BitMatrix, BitWord, parity
 from stepgrand.hwmodel import LatencyModel
 from stepgrand.patterns import chain_ranks
 
@@ -242,15 +244,18 @@ class TestBatchedSoftSearch:
     SPECS = [OrbgrandSpec(lw_max=30, p_max=4), OrbgrandSpec(p_max=2),
              StepGrandSpec(1, 5, 4)]
 
-    @settings(max_examples=40, deadline=None)
+    # even: a random code extended by a parity bit, whose frames split
+    # into two weight-parity classes
+    @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), nk=st.sampled_from([(20, 10), (24, 12)]),
            kind=st.sampled_from(["float", "tied", "zero", "quantized"]),
            spec=st.sampled_from(SPECS), small=st.booleans(),
-           count=st.integers(1, 24))
-    def test_search_matches_decode(self, seed, nk, kind, spec, small, count):
+           count=st.integers(1, 24), even=st.booleans())
+    def test_search_matches_decode(self, seed, nk, kind, spec, small, count, even):
         rng = np.random.default_rng(seed)
-        code = random_code(rng, *nk)
+        code = (extended_code if even else random_code)(rng, *nk)
         engine = (SmallTiles if small else SoftEngine)(code, spec)
+        assert engine.class_mask or not even
         cols = packed_parity_columns(code)
         frames = []
         while len(frames) < count:
@@ -357,8 +362,8 @@ def pattern_syndromes(engine, perms, cols, rows):
 
 def tile_arrays(engine):
     """Every index array SoftEngine holds: its tiles' levels, and per row
-    the parent slot and top rank."""
-    stack, found = [engine.tiles, engine.parent_slot, engine.top], []
+    the parent slot, the top rank and the test order's in-tile offset."""
+    stack, found = [engine.tiles, engine.parent_slot, engine.top, engine.test_rows], []
     while stack:
         x = stack.pop()
         if isinstance(x, np.ndarray):
@@ -446,11 +451,146 @@ class TestParentAndLeafRows:
     def test_index_arrays_are_int32_within_a_byte_budget(self):
         engine = SoftEngine(build_ca_polar(128, 105), OrbgrandSpec(64, 6))
         arrays = tile_arrays(engine)
-        assert arrays and all(a.dtype == np.int32 for a in arrays)
+        assert arrays and all(a.dtype in (np.int32, np.int16) for a in arrays)
+        assert [a.dtype for a in arrays].count(np.int16) == 1  # test_rows
         # 1,395,828 bytes when each tile also held its leaves' and levels'
         # rows; one int32 parent slot and top rank per row, plus the
-        # levels' own, is 1,012,216
+        # levels' own, is 1,012,216, and the int16 test order 1,244,854
         assert sum(a.nbytes for a in arrays) <= 1_395_828
+
+
+def extended_code(rng, n, k):
+    """A random (n - 1, k) code extended by an overall parity bit, so every
+    codeword has even weight."""
+    rows = random_code(rng, n - 1, k).generator.rows
+    rows = tuple(r | parity(r) << (n - 1) for r in rows)
+    return code_from_generator(f"extended({n},{k})", BitMatrix(k, n, rows))
+
+
+def random_words(rng, count, n):
+    return rng.integers(0, 2, size=(count, n), dtype=np.uint8)
+
+
+class TestWeightParityMask:
+    @pytest.mark.parametrize("make", [
+        lambda rng: build_ca_polar(128, 105),
+        lambda rng: extended_code(rng, 24, 12),
+        lambda rng: build_ca_polar(128, 80),  # 48 parity bits, int64 syndromes
+    ], ids=["capolar128", "extended", "capolar128-80"])
+    def test_masked_syndrome_parity_is_weight_parity(self, make):
+        rng = np.random.default_rng(43)
+        code = make(rng)
+        mask = weight_parity_mask(code)
+        assert mask is not None and 0 < mask < 1 << (code.n - code.k)
+        words = random_words(rng, 300, code.n)
+        for bits in words[:40]:
+            y = BitWord.from_array(bits)
+            assert parity(mask & code.syndrome(y).value) == y.weight() % 2
+        # the engine's fold, on packed syndromes of the columns' dtype
+        cols = packed_parity_columns(code)
+        syn = np.bitwise_xor.reduce(cols * words, axis=1)
+        assert syn.dtype == (np.int32 if code.n - code.k <= 31 else np.int64)
+        assert (_parity(syn & mask, mask.bit_length()) == words.sum(axis=1) % 2).all()
+
+    def test_absent_when_some_codeword_has_odd_weight(self):
+        rng = np.random.default_rng(47)
+        odd = random_code(rng, 24, 12)
+        assert any(parity(r) for r in odd.generator.rows)
+        for code in (build_bch(7, 3), odd):
+            assert weight_parity_mask(code) is None
+
+    @pytest.mark.parametrize("bits", [0, 1, 2, 3, 21, 23, 31, 32, 33, 48, 63])
+    def test_fold_is_the_parity_of_the_low_bits(self, bits):
+        rng = np.random.default_rng(bits)
+        x = rng.integers(0, 1 << bits, size=500, dtype=np.int64)
+        x[:2] = 0, (1 << bits) - 1
+        assert _parity(x, bits).tolist() == [parity(int(v)) for v in x]
+        if bits <= 31:
+            assert _parity(x.astype(np.int32), bits).tolist() == _parity(x, bits).tolist()
+
+
+def rows_by_class(engine):
+    """Per tile, its stream rows in test order, split at the class edge."""
+    edges, at = engine.block_edges, 0
+    for lo, hi, _, pieces in engine.tiles:
+        rows = lo + engine.test_rows[at:at + hi - lo].astype(np.int64)
+        edge = pieces[0][-1][1] if pieces[0] else lo
+        yield rows[:edge - lo], rows[edge - lo:]
+        at += hi - lo
+    assert at == edges[-1] == engine.pattern_count
+
+
+def interleaved_frames(code, rng, count, classes, **kw):
+    """count nonclean frames whose weight classes follow the cycle classes."""
+    mask = weight_parity_mask(code)
+    pools = {0: [], 1: []}
+    want = [classes[i % len(classes)] for i in range(count)]
+    while any(len(pools[c]) < want.count(c) for c in (0, 1)):
+        for f in nonclean_frames(code, rng, 8, **kw):
+            pools[parity(mask & f[2])].append(f)
+    return [pools[c].pop() for c in want]
+
+
+class TestParityClasses:
+    # on codes with only even-weight codewords a frame tests only the rows
+    # of its hard word's weight parity
+    @pytest.mark.parametrize("engine_class", [SoftEngine, SmallTiles])
+    def test_test_order_splits_each_tile_by_weight_parity(self, engine_class):
+        rng = np.random.default_rng(59)
+        code = extended_code(rng, 24, 12)
+        engine = engine_class(code, OrbgrandSpec(lw_max=30, p_max=4))
+        assert engine.class_mask == weight_parity_mask(code)
+        weights = (stream_ranks(engine) < code.n).sum(axis=1)
+        for (lo, hi, _, pieces), (even, odd) in zip(engine.tiles, rows_by_class(engine)):
+            assert sorted([*even, *odd]) == list(range(lo, hi))
+            assert (np.diff(even) > 0).all() and (np.diff(odd) > 0).all()
+            assert (weights[even] % 2 == 0).all() and (weights[odd] % 2 == 1).all()
+            assert all(h1 - h0 <= engine.tile_rows // 2 for c in pieces for h0, h1 in c)
+        if engine_class is SmallTiles:
+            assert len(engine.tiles) > 1
+
+    @pytest.mark.parametrize("engine_class", [SoftEngine, SmallTiles])
+    def test_one_class_on_codes_with_odd_weight_codewords(self, engine_class):
+        rng = np.random.default_rng(61)
+        for code in (build_bch(4, 2), random_code(rng, 24, 12)):
+            engine = engine_class(code, OrbgrandSpec(lw_max=30, p_max=4))
+            assert engine.class_mask == 0
+            for even, odd in rows_by_class(engine):
+                assert odd.size == 0 and (np.diff(even) == 1).all()
+            frames = nonclean_frames(code, rng, 13)
+            pos = search(engine, frames, packed_parity_columns(code))
+            assert pos.tolist() == [first_match(engine, p, packed_parity_columns(code), t)
+                                    for _, p, t in frames]
+
+    @pytest.mark.parametrize("classes", [(0, 1), (1, 1, 0), (0, 0, 1, 0, 1, 1)],
+                             ids=["alternate", "two-to-one", "runs"])
+    @pytest.mark.parametrize("quantized", [False, True], ids=["float", "quantized"])
+    def test_interleaved_classes_across_slices_and_tiles(self, classes, quantized):
+        rng = np.random.default_rng([67, len(classes)])
+        code = extended_code(rng, 24, 12)
+        spec = OrbgrandSpec(lw_max=30, p_max=4)
+        cols = packed_parity_columns(code)
+        # 23 frames: each class fills several 5-frame slices of SmallTiles
+        frames = interleaved_frames(code, rng, 23, classes, quantized=quantized)
+        for engine in (SmallTiles(code, spec), SoftEngine(code, spec)):
+            pos = search(engine, frames, cols)
+            assert pos.tolist() == [first_match(engine, p, cols, t) for _, p, t in frames]
+        hit_tiles = {p // SmallTiles.tile_rows for p in pos if p >= 0}
+        assert len(hit_tiles) > 1
+        for (v, _, _), p in zip(frames[:6], pos):
+            assert p == literal_outcome(v, code, spec)[0]
+
+    @pytest.mark.parametrize("spec", TestBatchedSoftSearch.TILED, ids=lambda s: s.label)
+    def test_interleaved_classes_on_capolar128(self, spec):
+        # 150 frames at 3 dB, classes alternating: each class crosses two
+        # 64-frame slice edges and hits in several 4096-row tiles
+        code = build_ca_polar(128, 105)
+        engine = SoftEngine(code, spec)
+        cols = packed_parity_columns(code)
+        frames = interleaved_frames(code, np.random.default_rng(71), 150, (0, 1), ebn0=3.0)
+        pos = search(engine, frames, cols)
+        assert pos.tolist() == [first_match(engine, p, cols, t) for _, p, t in frames]
+        assert len({p // engine.tile_rows for p in pos if p >= 0}) > 1
 
 
 class TestBuildEngine:

@@ -12,11 +12,13 @@ from stepgrand.gf2 import (
     mat_mul,
     mat_mul_transposed,
     mat_vec,
+    nullspace_and_right_inverse,
     nullspace_basis,
     parity,
     rank,
     right_inverse,
     row_basis,
+    row_combination,
     vec_mat,
     word_from_indices,
     zeros,
@@ -226,6 +228,32 @@ def test_right_inverse_requires_full_row_rank():
     deficient = BitMatrix.from_array(np.array([[1, 1, 0], [1, 1, 0]]))
     with pytest.raises(ValueError, match="rank"):
         right_inverse(deficient)
+
+
+def test_one_reduction_gives_nullspace_and_right_inverse():
+    rng = np.random.default_rng(37)
+    for _ in range(40):
+        rows = int(rng.integers(0, 12))
+        m = random_full_rank(rng, rows, int(rng.integers(max(rows, 1), 20)))
+        assert nullspace_and_right_inverse(m) == (nullspace_basis(m), right_inverse(m))
+    deficient = BitMatrix.from_array(np.array([[1, 1, 0], [1, 1, 0]]))
+    with pytest.raises(ValueError, match="rank"):
+        nullspace_and_right_inverse(deficient)
+
+
+def test_row_combination_solves_a_times_m():
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        m = random_matrix(rng, int(rng.integers(0, 10)), int(rng.integers(1, 16)))
+        a = int(rng.integers(0, 1 << m.n_rows))
+        v = vec_mat(BitWord(m.n_rows, a), m).value
+        got = row_combination(m, v)
+        assert vec_mat(BitWord(m.n_rows, got), m).value == v
+        if rank(m) < m.n_cols:  # some word lies outside the row space
+            outside = next(w for w in range(1 << m.n_cols)
+                           if row_combination(m, w) is None)
+            assert all(vec_mat(BitWord(m.n_rows, b), m).value != outside
+                       for b in range(1 << m.n_rows))
 
 
 def test_matrix_validation():
