@@ -19,9 +19,7 @@ import numpy as np
 from .gf2 import (
     BitMatrix,
     BitWord,
-    identity,
-    mat_mul,
-    mat_mul_transposed,
+    gf2_product,
     mat_vec,
     nullspace_and_right_inverse,
     nullspace_basis,
@@ -50,9 +48,11 @@ class LinearCode:
             raise ValueError(f"parity check must be {self.n - self.k}x{self.n}")
         if (gi.n_rows, gi.n_cols) != (self.n, self.k):
             raise ValueError(f"right inverse must be {self.n}x{self.k}")
-        if any(mat_mul_transposed(h, g).rows):
+        g32 = g.to_array().astype(np.float32)
+        if gf2_product(h.to_array(), g32.T).any():
             raise ValueError("parity check does not annihilate the generator")
-        if mat_mul(g, gi) != identity(self.k):
+        if not np.array_equal(gf2_product(g32, gi.to_array().astype(np.float32)),
+                              np.eye(self.k)):
             raise ValueError("right inverse does not invert the generator")
 
     @property

@@ -21,18 +21,23 @@ Both find a pattern's syndrome as its parent's XOR one column. HardEngine
 serves the hard-input weight order, whose syndromes are frame-independent,
 by one binary search; SoftEngine serves every reliability-sorted stream
 (orbgrand and the stepped schedule) by prefix recursion over the frames'
-reliability permutations.
+reliability permutations. It fills the residual syndrome of each parent
+pattern only, and tests all of a parent's children at once by one hashed
+lookup of that residual among the code's column syndromes, so its work per
+frame goes with the stream's parents, not its rows.
 
 On a code whose codewords all have even weight (CA-polar, any code with an
 overall parity bit), a pattern e turns a hard word y into a codeword only
 if wt(e) and wt(y) have the same parity, and `weight_parity_mask` reads
 wt(y) mod 2 off y's syndrome. SoftEngine splits the frames into these two
-parity classes and tests each against the rows of its own parity only, half
-the stream; on other codes (odd-length BCH) there is one class.
+parity classes and looks up, for each, only the parents whose children
+have its parity, about half of them; on other codes (odd-length BCH) there
+is one class.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,85 +196,193 @@ class HardEngine(_RankPatterns):
 
 class SoftEngine(_RankPatterns):
     """Rank-pattern search of any prefix-closed stream by prefix recursion,
-    batched over frames.
+    batched over frames, with one hashed lookup per parent.
 
     syn[row] = syn[parent[row]] ^ sigma[top[row]], sigma[r] being a frame's
-    single-flip syndrome at rank r, so a row hits when u[parent] ==
-    sigma[top] for the residual u = syn ^ target (the target for the empty
-    pattern). Frames go through in slices of slice_frames, to keep the
-    working set small, in a (rows x frames) layout of the columns' dtype;
-    stream rows in tiles of tile_rows, whose edges are block_edges. A tile
-    fills the u of its parent rows (rows some row descends from) by weight,
-    a range of slots per level, then tests its rows in pieces of at most
-    half a tile, which bounds the gathers. A frame hit below the tile's
-    edge is resolved.
+    single-flip syndrome at rank r. So the child of a parent p at rank r hits
+    when p's residual u[p] = syn[p] ^ target (the target for the empty
+    pattern) equals sigma[r], the column syndrome of the bit at rank r, and
+    one lookup of u[p] among the code's column syndromes tests all of p's
+    children at once. A match names a bit; the frame's rank of that bit names
+    the child, and child_at maps (p, rank) to the child's stream row. A
+    parent's span of ranks runs from above its top to its children's
+    highest; a gap in it, a rank with no child, holds pattern_count, a row
+    past the stream.
+
+    The lookup is a multiply-shift hash of the syndrome's unsigned view into
+    a table of at least 32 slots per distinct nonzero column syndrome, its
+    multiplier found deterministically so that no two of them share a slot.
+    slot_syn holds a slot's syndrome (-1 when empty) and slot_bits[layer] its
+    bit, one layer per column that shares the syndrome. Zero columns are left
+    out: a child through one repeats its parent's syndrome, and the parent is
+    an earlier row.
+
+    Frames go through in slices of slice_frames, to keep the working set
+    small, in a (parents x frames) layout of the columns' dtype; stream rows
+    in tiles whose edges, block_edges, start at tile_rows and grow 4x per
+    tile. Every parent (the empty pattern too) has a slot in one of two
+    arrays by its weight's parity, each in (tile, weight, row) order, the
+    tile being the one that holds its first child; the empty pattern is
+    slot 0 of the even array. A tile fills the u of its parents by weight,
+    a range of slots per level that reads the other array, then looks its
+    parents up in blocks of at most lookup_parents, which bounds the
+    temporaries. After a tile every row below its edge has been tested, so
+    a frame whose first hit lies below that edge is resolved.
 
     On a code whose codewords all have even weight, a pattern can match a
     hard word only if both have the same weight parity, which the frame's
     target gives as parity(class_mask & target) (`weight_parity_mask`). So
-    each frame is in class 0 or 1, a slice holds one class, and it tests
-    only the rows whose weight has its class's parity. Each tile keeps its
-    rows in test order, the even-weight rows then the odd-weight ones, each
-    in stream order: parent_slot is in test order, and test_rows maps a
-    test-order row to its offset in the tile, so a hit resolves to its
-    stream position. On other codes class_mask is 0, every frame and row is
-    in class 0, and test order is stream order.
+    each frame is in class 0 or 1, a slice holds one class, and it looks up
+    only the parents whose children have its class's parity: the array of
+    the other parity. On other codes class_mask is 0, every frame is in
+    class 0, and it looks up both arrays.
 
-    A stream with a parent that is not an earlier row, or a top rank not
-    between its parent's and n, raises a ValueError at construction.
+    A stream with a parent that is not an earlier row, a top rank not
+    between its parent's and n, or a pattern twice raises a ValueError at
+    construction.
     """
 
     slice_frames = 64
-    tile_rows = 4096  # below 2**15, for the int16 test_rows
+    tile_rows = 1024  # the first tile edge; each tile after is 4x as long
+    lookup_parents = 2048
     compact_live = 0.5  # drop resolved frames once at most this share is live
 
     def __init__(self, code: LinearCode, spec: DecoderSpec):
         super().__init__(code, spec)
         parent, top, count, n = self.parent, self.top, self.pattern_count, code.n
-        if ((parent < -1) | (parent >= np.arange(count))).any():
+        # row-sized index arrays are intp: numpy converts any other index
+        # array to intp at each gather or scatter
+        up = parent.astype(np.intp)
+        up += 1  # each row's parent, 0 for the empty pattern
+        if ((up < 0) | (up > np.arange(count))).any():
             raise ValueError("stream has a pattern whose parent is not an earlier row")
-        # the empty pattern's top is -1, so a single flip's rank is >= 0
-        if ((top <= np.where(parent >= 0, top[parent], -1)) | (top >= n)).any():
-            raise ValueError(f"stream has a top rank not above its parent's and below {n}")
-        parents = np.flatnonzero(np.bincount(parent + 1, minlength=count + 1)[1:])
-        level_of = np.zeros(count, dtype=np.int8)  # a parent row's weight; leaves 0
-        level_of[parents] = sum(r < n for r in chain_ranks(parent, top, parents, n))
+        self.block_edges = [0]
+        while self.block_edges[-1] < count:
+            self.block_edges.append(min(self.tile_rows << 2 * (len(self.block_edges) - 1), count))
         mask = weight_parity_mask(code)
         self.class_mask = 0 if mask is None else mask
-        # a row's class: its weight's parity, its parent's weight + 1; the
-        # last row is no row's parent, so level_of[-1] is the empty pattern's 0
-        row_class = np.zeros(count, dtype=np.int8)
-        if mask is not None:
-            row_class = (level_of[parent] + 1) & 1
-        # slot 0 holds u of the empty pattern, the targets, for parent -1;
-        # parent rows take slots in (tile, weight, row) order, a range per level
-        slot = np.zeros(count + 1, dtype=np.int32)
-        self.slots = 1
-        self.block_edges = [*range(0, count, self.tile_rows), count]
-        # per tile: its edges lo, hi; its levels by weight, (slot a, slot b,
-        # parent slots, top ranks); per class, its pieces of test-order rows
-        self.tiles = []
-        # each tile's even rows, then its odd rows: stream rows in test order
-        even, odd = np.flatnonzero(row_class == 0), np.flatnonzero(row_class)
-        at_even, at_odd = (np.searchsorted(x, self.block_edges) for x in (even, odd))
-        order, offsets = [], []
-        for t, (lo, hi) in enumerate(zip(self.block_edges, self.block_edges[1:])):
-            r = np.arange(lo, hi, dtype=np.int32)  # tables stop at 2**25 rows
-            w = level_of[lo:hi]
+        self._build_lookup(packed_parity_columns(code))
+
+        # parents by index: the empty pattern (row -1), then each row that is
+        # some row's parent, ascending; of[row] is the index of row's parent
+        children = np.bincount(up, minlength=count + 1)
+        is_parent = children > 0
+        is_parent[0] = True
+        rows = np.flatnonzero(is_parent) - 1
+        span = children[rows + 1].astype(np.int32)  # each parent's child count
+        index = np.zeros(count + 1, dtype=np.intp)
+        index[rows + 1] = np.arange(len(rows))
+        of = index[up]
+        del up, children, is_parent, index
+        top_of = np.full(len(rows), -1, dtype=np.int32)  # the empty pattern's is -1
+        top_of[1:] = top[rows[1:]]
+        # a child's offset: its top rank less its parent's lowest child rank
+        offset = top - (top_of + 1)[of]
+        if ((offset < 0) | (top >= n)).any():
+            raise ValueError(f"stream has a top rank not above its parent's and below {n}")
+        # each span widens past any gap in its children's ranks until every
+        # offset fits
+        wide = np.flatnonzero(offset >= span[of])
+        while wide.size:
+            span[of[wide]] = offset[wide] + 1
+            wide = wide[offset[wide] >= span[of[wide]]]
+        start = np.cumsum(span, dtype=np.int32) - span
+        # a gap holds count, a row past the stream
+        self.child_at = np.full(int(span.sum()), count, dtype=np.int32)
+        at = start.astype(np.intp)[of]
+        at += offset
+        self.child_at[at] = np.arange(count, dtype=np.int32)
+        del offset, at
+        if np.count_nonzero(self.child_at < count) < count:
+            raise ValueError("stream has a pattern twice")
+        # each parent's tile, the one that holds its first child
+        first_child = np.minimum.reduceat(self.child_at, start) if count else start
+        tile = np.searchsorted(self.block_edges, first_child, side="right") - 1
+        # each parent's weight, its own parent's plus one: a pass per weight
+        up_of = of[rows[1:]]  # the index of each parent's parent
+        weight = np.zeros(len(rows), dtype=np.int8)
+        while ((grown := weight[up_of] + 1) != weight[1:]).any():
+            weight[1:] = grown
+        width = int(weight.max()) + 1
+        group = tile * width + weight  # (tile, weight), ascending
+        order = np.argsort(group, kind="stable")
+        # per parity array: its parents in slot order, each parent's slot in
+        # its array, and per slot the parent's first child rank, span length
+        # and span start in child_at
+        members = [order[weight[order] % 2 == k] for k in (0, 1)]
+        slot = np.empty(len(rows), dtype=np.int32)
+        for member in members:
+            slot[member] = np.arange(len(member), dtype=np.int32)
+        self.slots = [len(member) for member in members]
+        spans = np.column_stack([top_of + 1, span, start])
+        self.spans = [np.take(spans, member, axis=0) for member in members]
+        source = np.zeros(len(rows), dtype=np.int32)  # the slot of each parent's parent
+        source[1:] = slot[up_of]
+        # per array, the first slot of each (tile, weight) group and after
+        groups = len(self.block_edges) * width - width + 1
+        bounds = [np.searchsorted(group[member], np.arange(groups)).tolist()
+                  for member in members]
+        # per tile: its edge; its levels by weight, (array, slot a, slot b,
+        # the level's parents' parent slots, its top ranks); per class, its
+        # lookup blocks (array, slot a, slot b); per array, the slots that
+        # later tiles read, which a compaction keeps
+        arrays = [(0, 1), ()] if mask is None else [(1,), (0,)]  # looked up per class
+        self.tiles, read = [], [0, 0]
+        for t in range(len(self.block_edges) - 2, -1, -1):  # the last first, for read
+            g = t * width
             levels = []
-            for level in filter(len, (r[w == g] for g in range(1, w.max() + 1))):
-                a, self.slots = self.slots, self.slots + level.size
-                slot[level] = np.arange(a, self.slots)
-                levels.append((a, self.slots, slot[parent[level]], top[level]))
-            order += even[at_even[t]:at_even[t + 1]], odd[at_odd[t]:at_odd[t + 1]]
-            offsets += order[-2] - lo, order[-1] - lo
-            edge, most = lo + at_even[t + 1] - at_even[t], self.tile_rows // 2
-            pieces = [[(h, min(h + most, b)) for h in range(a, b, most)]
-                      for a, b in ((lo, edge), (edge, hi))]
-            self.tiles.append((lo, hi, levels, pieces))
-        # per test-order row, its offset in its tile and the slot of its parent's u
-        self.test_rows = np.concatenate([np.empty(0, dtype=np.int16), *offsets], dtype=np.int16)
-        self.parent_slot = slot[parent[np.concatenate([np.empty(0, dtype=np.int64), *order])]]
+            for w in range(1, width):
+                a, b = bounds[w % 2][g + w:g + w + 2]
+                if a < b:
+                    member = members[w % 2][a:b]
+                    levels.append((w % 2, a, b, source[member], top_of[member]))
+            blocks = [[(k, h, min(h + self.lookup_parents, bounds[k][g + width]))
+                       for k in arrays[c]
+                       for h in range(bounds[k][g], bounds[k][g + width], self.lookup_parents)]
+                      for c in (0, 1)]
+            keep = [min(read[k], bounds[k][g + width]) for k in (0, 1)]
+            self.tiles.append((self.block_edges[t + 1], levels, blocks, keep))
+            for k, _, _, parents, _ in levels:
+                read[1 - k] = max(read[1 - k], int(parents.max()) + 1)
+        self.tiles.reverse()
+
+    def _build_lookup(self, cols: np.ndarray) -> None:
+        """The hash table of the nonzero column syndromes, see the class."""
+        bits = np.flatnonzero(cols)
+        # the bits by syndrome, each syndrome's first, and each bit's layer:
+        # its place among the bits that share its syndrome. A sort, as
+        # np.unique's first call imports numpy.ma
+        bits = bits[np.argsort(cols[bits], kind="stable")]
+        keys = cols[bits]
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        distinct = keys[first]
+        at = np.arange(len(keys))
+        layer = at - np.maximum.accumulate(np.where(first, at, 0))
+        self.hash_dtype = np.uint32 if cols.dtype == np.int32 else np.uint64
+        width = 8 * cols.itemsize
+        least = (32 * max(len(distinct), 1) - 1).bit_length()
+        golden = 0x9E3779B97F4A7C15 >> 64 - width  # odd in either width
+        # odd multiples of the golden ratio in turn, one more table bit after
+        # each 64 that put two syndromes in one slot
+        for attempt in itertools.count():
+            size = least + attempt // 64
+            self.multiplier = self.hash_dtype(golden * (2 * attempt + 1) % (1 << width))
+            self.shift = self.hash_dtype(width - size)
+            slots = np.sort(self._hash(distinct))
+            if (slots[1:] != slots[:-1]).all():
+                break
+        self.slot_syn = np.full(1 << size, -1, dtype=cols.dtype)
+        self.slot_syn[self._hash(distinct)] = distinct
+        self.slot_bits = np.full((int(layer.max(initial=0)) + 1, 1 << size), -1, dtype=np.int32)
+        self.slot_bits[layer, self._hash(keys)] = bits
+
+    def _hash(self, syn: np.ndarray) -> np.ndarray:
+        """Each syndrome's slot: the top bits of its unsigned view times the
+        multiplier, in the view's width."""
+        h = syn.view(self.hash_dtype) * self.multiplier
+        h >>= self.shift
+        return h
 
     def search(self, perms: np.ndarray, columns: np.ndarray, targets: np.ndarray
                ) -> np.ndarray:
@@ -284,49 +397,62 @@ class SoftEngine(_RankPatterns):
             frames = np.flatnonzero(frame_class == c)
             # a class of every frame, as on one-class codes, is sliced in place
             every = len(frames) == len(targets)
-            tops = {}  # a piece's top ranks in test order, by its first row
             for lo in range(0, len(frames), self.slice_frames):
                 hi = lo + self.slice_frames
                 f = slice(lo, hi) if every else frames[lo:hi]
-                pos[f] = self._search_slice(columns[perms[f]], targets[f], c, tops)
+                pos[f] = self._search_slice(perms[f], columns, targets[f], c)
         return pos
 
-    def _search_slice(self, sigma, targets, c, tops) -> np.ndarray:
-        """Stream positions for one slice of class c frames; sigma[f, r] is
-        the syndrome of a lone flip at frame f's rank r. tops caches each
-        piece's top ranks across the slices of one class."""
+    def _search_slice(self, perms, columns, targets, c) -> np.ndarray:
+        """Stream positions for one slice of class c frames."""
         frames = np.arange(len(targets))
         pos = np.empty(len(frames), dtype=np.int64)
-        first = np.full(len(frames), self.pattern_count)
-        sigma = np.ascontiguousarray(sigma.T)  # (ranks x frames), like u
-        u = np.empty((self.slots, len(frames)), dtype=sigma.dtype)
-        u[0] = targets
-        for lo, hi, levels, pieces in self.tiles:
-            for a, b, parent_slot, top in levels:
-                # parent slots lie below a; clip, as a raising take buffers out
-                level = u[a:b]
-                np.take(u[:a], parent_slot, axis=0, out=level, mode="clip")
-                level ^= np.take(sigma, top, axis=0)
-            for h0, h1 in pieces[c]:
-                ranks = tops.get(h0)
-                if ranks is None:
-                    ranks = tops[h0] = self.top[lo:hi][self.test_rows[h0:h1]]
-                hit = np.flatnonzero(np.take(u, self.parent_slot[h0:h1], axis=0)
-                                     == np.take(sigma, ranks, axis=0))
-                if hit.size:
-                    at, frame = np.divmod(hit, len(frames))
-                    np.minimum.at(first, frame, np.add(self.test_rows[h0 + at], lo,
-                                                       dtype=np.int64))
+        # int32, like child_at, which keeps minimum.at on numpy's fast path
+        first = np.full(len(frames), self.pattern_count, dtype=np.int32)
+        sigma = np.ascontiguousarray(columns[perms].T)  # (ranks x frames), like u
+        # rank[f, bit]: frame f's 0-based rank of bit; bit -1, the pad, rank n
+        rank = np.full((len(frames), perms.shape[1] + 1), perms.shape[1], dtype=perms.dtype)
+        rank[frames[:, None], perms] = np.arange(perms.shape[1])
+        u = [np.empty((slots, len(frames)), dtype=sigma.dtype) for slots in self.slots]
+        u[0][0] = targets
+        for hi, levels, blocks, keep in self.tiles:
+            for k, a, b, parents, tops in levels:
+                # clip, as a raising take buffers out
+                level = u[k][a:b]
+                np.take(u[1 - k], parents, axis=0, out=level, mode="clip")
+                level ^= np.take(sigma, tops, axis=0)
+            for k, a, b in blocks[c]:
+                self._lookup(u[k][a:b], self.spans[k][a:b], rank, frames, first)
             live = first >= hi
             if np.count_nonzero(live) <= self.compact_live * len(frames):
-                # compress keeps the rows C-ordered for the row gathers
                 pos[frames[~live]] = first[~live]
                 if not live.any():
                     return pos
                 frames, first = frames[live], first[live]
-                u, sigma = (np.compress(live, a, axis=1) for a in (u, sigma))
+                sigma = np.compress(live, sigma, axis=1)
+                # later tiles fill their own slots: copy only what they read,
+                # C-ordered for the row gathers
+                for k, x in enumerate(u):
+                    u[k] = np.empty((len(x), len(frames)), dtype=x.dtype)
+                    np.compress(live, x[:keep[k]], axis=1, out=u[k][:keep[k]])
         pos[frames] = np.where(first < self.pattern_count, first, -1)
         return pos
+
+    def _lookup(self, u, spans, rank, frames, first) -> None:
+        """Lower first, per live frame, to the row of each child of u's
+        parents that hits; spans are those parents' child spans."""
+        h = self._hash(u)
+        hit = np.flatnonzero(np.take(self.slot_syn, h) == u)
+        if not hit.size:
+            return
+        at, f = np.divmod(hit, u.shape[1])
+        first_rank, span, start = spans[at].T
+        frame = frames[f]
+        for bits in self.slot_bits[:, h.ravel()[hit]]:
+            # a missing bit, -1, reads the pad rank n, past every span
+            d = rank[frame, bits] - first_rank  # the child's place in its span
+            ok = np.flatnonzero((d >= 0) & (d < span))
+            np.minimum.at(first, f[ok], self.child_at[start[ok] + d[ok]])
 
     # bound in SoftEngine's own namespace: bench/layers.py patches the
     # engine's methods by class attribute

@@ -2,8 +2,9 @@
 
 Vectors and matrix rows are stored as Python integers, one bit per coordinate
 (bit j of the integer is coordinate j). Python ints give arbitrary width, and
-XOR plus ``int.bit_count()`` cover everything mod-2 arithmetic needs, so no
-floating point enters this module.
+XOR plus ``int.bit_count()`` cover everything mod-2 arithmetic needs. The one
+exception is `gf2_product`, the batched product of 0/1 numpy arrays, which
+runs through float32 matrix multiplication and is exact below 2**24 columns.
 """
 
 from __future__ import annotations
@@ -135,6 +136,13 @@ class BitMatrix:
 
     def columns(self) -> tuple[int, ...]:
         return tuple(self.column(j) for j in range(self.n_cols))
+
+
+def gf2_product(a: np.ndarray, b32: np.ndarray) -> np.ndarray:
+    """The GF(2) product of 0/1 rows a and a 0/1 float32 matrix, as uint8 bits."""
+    # exact in float32: every partial sum is an integer <= a's width < 2**24;
+    # cast via int32, since a float above 255 cast to uint8 is undefined in C
+    return ((a.astype(np.float32) @ b32).astype(np.int32) & 1).astype(np.uint8)
 
 
 def identity(n: int) -> BitMatrix:

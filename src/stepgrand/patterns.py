@@ -278,7 +278,8 @@ def orbgrand_table(n: int, lw_max: int | None, p_max: int | None
     # rank sum, then parts, then colex: the ranks top first, which rows of
     # equal weight pad alike. Each field packs, most significant first and in
     # its bit_length, into as few 63-bit words as hold them, the ranks walked
-    # as they are packed; keys are unique sets, so sorting them sorts the stream
+    # as they are packed. Keys are unique sets, so any sort of them sorts the
+    # stream: one word takes numpy's SIMD argsort, more the lexsort
     chain = chain_ranks(parent, top, np.arange(len(parent)), n)
     fields = [(sums[:-1], lw_max), (weights, weights.max(initial=0))]
     words, used = [], 0
@@ -290,7 +291,7 @@ def orbgrand_table(n: int, lw_max: int | None, p_max: int | None
         words[-1] <<= bits
         words[-1] |= values
         used += bits
-    order = np.lexsort(words[::-1])
+    order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words[::-1])
     # parents follow their rows through the sort; index -1 keeps -1
     moved = np.empty(len(order) + 1, dtype=np.int32)
     moved[order] = np.arange(len(order), dtype=np.int32)

@@ -48,6 +48,7 @@ from .channel import ChannelConfig, SoftVector, harden, quantize, transmit
 from .codes import LinearCode
 from .decoder import DecoderSpec, StepGrandSpec
 from .fastpath import build_engine, packed_parity_columns
+from .gf2 import gf2_product
 from .hwmodel import LatencyModel
 from .patterns import sort_reliability
 
@@ -196,13 +197,6 @@ def _init_worker(code: LinearCode, variants: tuple[DecoderSpec, ...],
     )
 
 
-def _gf2_product(a: np.ndarray, g32: np.ndarray) -> np.ndarray:
-    """The GF(2) product of 0/1 rows a and a 0/1 matrix, as uint8 bits."""
-    # exact in float32: every partial sum is an integer <= a's width < 2**24;
-    # cast via int32, since a float above 255 cast to uint8 is undefined in C
-    return ((a.astype(np.float32) @ g32).astype(np.int32) & 1).astype(np.uint8)
-
-
 def _run_chunk(point_index: int, chunk_index: int, ebn0_db: float,
                frames_used: int, seed: int):
     # uint64 explicitly: a Python list holding a seed of 2**63 or more would
@@ -220,7 +214,7 @@ def _awgn_frames(rng: np.random.Generator, ebn0_db: float, frames_used: int
     # messages are drawn for the full chunk whatever frames_used is, so a
     # partial chunk's noise starts where a full chunk's does in the stream
     msgs = rng.integers(0, 2, size=(CHUNK_FRAMES, k), dtype=np.uint8)[:frames_used]
-    cw = _gf2_product(msgs, _STATE["g32"])
+    cw = gf2_product(msgs, _STATE["g32"])
     received = transmit(cw, ChannelConfig(ebn0_db, k / n), rng)
     if _STATE["quantize"]:
         received = quantize(received)
@@ -260,7 +254,7 @@ def _decode_chunk(cw: np.ndarray, received: SoftVector):
         residual = e_true.copy()
         residual[nonclean] ^= engine.flip_mask(perms, pos)
         err = errors[i] = residual.any(axis=1)
-        bit_errors = _gf2_product(residual[err], _STATE["g_inv32"]).sum()
+        bit_errors = gf2_product(residual[err], _STATE["g_inv32"]).sum()
         sums[i, :3] = err.sum(), bit_errors, queries.sum()
         peaks[i, 0] = queries.max()
         if model:

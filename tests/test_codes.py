@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -313,6 +314,26 @@ class TestLinearCodeValidation:
                 parity_check=BitMatrix(3, 7, (1, 2, 4)),
                 generator_right_inverse=code.generator_right_inverse,
             )
+
+    @pytest.mark.parametrize("which, message", [
+        ("parity_check", "parity check does not annihilate the generator"),
+        ("generator_right_inverse", "right inverse does not invert the generator"),
+    ])
+    def test_one_flipped_bit_is_refused(self, which, message):
+        # capolar128's checks run as float32 products; flipping bit j, where
+        # the generator's column j is nonzero, of a row of H or of row j of
+        # the right inverse changes the product by that column
+        code = build_ca_polar(128, 105)
+        j = next(j for j in range(code.n) if code.generator.column(j))
+        m = getattr(code, which)
+        rows = list(m.rows)
+        if which == "parity_check":
+            rows[0] ^= 1 << j
+        else:
+            rows[j] ^= 1
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(code, **{which: BitMatrix(m.n_rows, m.n_cols, tuple(rows))})
+        assert dataclasses.replace(code, **{which: m}) == code
 
     def test_parity_columns_are_single_flip_syndromes(self):
         code = build_bch(4, 2)

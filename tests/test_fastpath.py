@@ -270,7 +270,7 @@ class TestBatchedSoftSearch:
             want = literal_outcome(v, code, spec)
             assert (p, tuple(np.flatnonzero(row).tolist())) == want
 
-    # orbgrand's 116,319 rows span 29 tiles, the stepped schedule's 8,828
+    # orbgrand's 116,319 rows span five tiles, the stepped schedule's 8,828
     # rows three
     TILED = [OrbgrandSpec(64, 6), StepGrandSpec(2, 6, 6)]
 
@@ -290,11 +290,13 @@ class TestBatchedSoftSearch:
         code = build_ca_polar(128, 105)
         engine = SoftEngine(code, spec)
         edges = engine.block_edges
-        assert edges[0] == 0 and edges[-1] == engine.pattern_count
-        assert all(b - a == engine.tile_rows for a, b in zip(edges, edges[1:-1]))
+        # edges at 1024, 4096, 16384, ...: each tile 4x the one before
+        inner = [engine.tile_rows << 2 * t for t in range(len(edges) - 2)]
+        assert edges == [0, *inner, engine.pattern_count]
+        assert engine.pattern_count <= inner[-1] * 4
         cols = packed_parity_columns(code)
         rng = np.random.default_rng(29)
-        rows = np.array([r for e in edges[1:-1] for r in (e - 1, e)])
+        rows = np.array([r for e in inner for r in (e - 1, e)])
         perms = np.argsort(rng.normal(size=(len(rows), code.n)), axis=1, kind="stable")
         # each target is the syndrome of the pattern at a row beside an edge
         targets = pattern_syndromes(engine, perms, cols, rows)
@@ -305,7 +307,7 @@ class TestBatchedSoftSearch:
         # most plants are the first match, on both sides of the edges
         exact = rows[pos == rows]
         assert len(exact) > 0.8 * len(rows)
-        assert set(exact % engine.tile_rows) == {0, engine.tile_rows - 1}
+        assert {r in edges for r in exact.tolist()} == {False, True}
 
     def test_wide_table(self):
         # ten-rank rows at n = 128: 70 bits as seven bits per rank
@@ -335,14 +337,147 @@ class TestBatchedSoftSearch:
         ([-1, -1], [0, 32], "not above its parent's and below 32"),
     ], ids=["parent-later", "parent-below-empty", "top-not-above-parent", "top-outside-n"])
     def test_rejects_streams_without_the_prefix_property(self, parent, top, message):
-        class HandBuilt:
-            uses_sorting = True
-
-            def rank_table(self, n):
-                return np.array(parent, dtype=np.int32), np.array(top, dtype=np.int32)
-
         with pytest.raises(ValueError, match=message):
-            SoftEngine(build_ca_polar(32, 20, crc=None), HandBuilt())
+            SoftEngine(build_ca_polar(32, 20, crc=None), HandBuilt(parent, top))
+
+
+class HandBuilt:
+    """A reliability-sorted spec whose stream is the given (parent, top)."""
+
+    uses_sorting = True
+
+    def __init__(self, parent, top):
+        self.table = np.array(parent, dtype=np.int32), np.array(top, dtype=np.int32)
+
+    def rank_table(self, n):
+        return self.table
+
+
+class TinyTiles(SoftEngine):
+    """SoftEngine with edges at 2, 8, 32, ... rows and 3-frame slices."""
+
+    tile_rows = 2
+    slice_frames = 3
+
+
+def systematic_code(p_rows, n, k):
+    """The [I | P] code whose P has the given rows: H's column i < k is P's
+    row i, so a zero row makes a zero column and equal rows equal columns."""
+    rows = tuple((1 << i) | (r << k) for i, r in enumerate(p_rows))
+    return code_from_generator(f"systematic({n},{k})", BitMatrix(k, n, rows))
+
+
+def planted(engine, code, rng, rows):
+    """Frames as (None, perm, target): each target the syndrome of the
+    pattern at one of rows under a random perm."""
+    cols = packed_parity_columns(code)
+    perms = np.argsort(rng.normal(size=(len(rows), code.n)), axis=1, kind="stable")
+    targets = pattern_syndromes(engine, perms, cols, np.asarray(rows))
+    return [(None, p, int(t)) for p, t in zip(perms, targets) if t]
+
+
+class TestColumnLookup:
+    # a parent's children are found by one lookup of its residual among the
+    # code's column syndromes
+    @pytest.mark.parametrize("engine_class", [SoftEngine, SmallTiles, TinyTiles])
+    @pytest.mark.parametrize("spec", [OrbgrandSpec(lw_max=30, p_max=4), StepGrandSpec(1, 5, 4)],
+                             ids=lambda s: s.label)
+    def test_repeated_and_zero_columns(self, spec, engine_class):
+        # P's row 0 is zero, rows 1, 2 and 4 are equal, and row 3 is H's
+        # column 10 (the identity's first): columns 1, 2, 4 share a syndrome,
+        # as do 3 and 10, and column 0 is zero
+        rng = np.random.default_rng(73)
+        p_rows = [int(r) for r in rng.integers(1, 1 << 10, size=10)]
+        p_rows[0], p_rows[2], p_rows[3], p_rows[4] = 0, p_rows[1], 1, p_rows[1]
+        code = systematic_code(p_rows, 20, 10)
+        cols = packed_parity_columns(code)
+        assert cols[0] == 0 and cols[1] == cols[2] == cols[4] and cols[3] == cols[10]
+        engine = engine_class(code, spec)
+        layers = engine.slot_bits
+        assert len(layers) == 3 and 0 not in layers
+        assert sorted(layers[layers >= 0].tolist()) == list(range(1, code.n))
+        # a frame per row that holds bit 0, 1, 2, 3, 4 or 10 at its top rank
+        # under the identity perm, then random frames
+        frames = planted(engine, code, rng, rng.choice(engine.pattern_count, 60))
+        frames += [(v, p, t) for v, p, t in nonclean_frames(code, rng, 40)]
+        pos = search(engine, frames, cols)
+        assert pos.tolist() == [first_match(engine, p, cols, t) for _, p, t in frames]
+        flips = engine.flip_mask(np.array([f[1] for f in frames]), pos)
+        for (v, _, _), p, row in list(zip(frames, pos, flips))[-40:]:
+            assert (p, tuple(np.flatnonzero(row).tolist())) == literal_outcome(v, code, spec)
+
+    def test_int64_syndromes(self):
+        # capolar(128, 80): 48 parity bits, two weight classes
+        code = build_ca_polar(128, 80)
+        engine = SoftEngine(code, StepGrandSpec(2, 6, 6))
+        assert engine.hash_dtype == np.uint64 and engine.slot_syn.dtype == np.int64
+        cols = packed_parity_columns(code)
+        rng = np.random.default_rng(79)
+        frames = nonclean_frames(code, rng, 120, ebn0=3.0)
+        frames += planted(engine, code, rng, rng.choice(engine.pattern_count, 40))
+        perms = np.array([f[1] for f in frames])
+        targets = np.array([f[2] for f in frames], dtype=np.int64)
+        assert (targets >= 1 << 31).any()
+        pos = engine.search(perms, cols, targets)
+        assert pos.tolist() == [first_match(engine, p, cols, t) for _, p, t in frames]
+        assert (pos >= 0).any() and (pos < 0).any()
+
+    @pytest.mark.parametrize("engine_class", [SoftEngine, TinyTiles])
+    def test_empty_stream(self, engine_class):
+        code = build_ca_polar(32, 20, crc=None)
+        engine = engine_class(code, HandBuilt([], []))
+        assert engine.block_edges == [0] and engine.tiles == []
+        frames = nonclean_frames(code, np.random.default_rng(83), 7)
+        assert search(engine, frames, packed_parity_columns(code)).tolist() == [-1] * 7
+
+    # the empty pattern's children take ranks 0, 3, 1 and 7, out of order and
+    # with gaps; {0}'s take 2 and 5; {0, 2}'s 7 and 3; {3}'s 9 and 4
+    GAPPED = ([-1, -1, 0, -1, 0, 1, 2, 3, -1, 2, 1],
+              [0, 3, 2, 1, 5, 9, 7, 4, 7, 3, 4])
+
+    @pytest.mark.parametrize("engine_class", [SoftEngine, SmallTiles, TinyTiles])
+    def test_gaps_in_a_parents_child_ranks(self, engine_class):
+        rng = np.random.default_rng(89)
+        code = random_code(rng, 16, 8)
+        engine = engine_class(code, HandBuilt(*self.GAPPED))
+        # per parent row, its span: the ranks from above its top to its
+        # children's highest, (first rank, length)
+        spans = {int(r): tuple(span[:2]) for rows, spans in zip(slot_parents(engine), engine.spans)
+                 for r, span in zip(rows, spans.tolist())}
+        assert spans == {-1: (0, 8), 0: (1, 5), 1: (4, 6), 2: (3, 5), 3: (2, 3)}
+        assert engine.child_at.size == 27  # 16 gaps, each past the stream
+        assert np.count_nonzero(engine.child_at == engine.pattern_count) == 16
+        cols = packed_parity_columns(code)
+        frames = planted(engine, code, rng, np.repeat(np.arange(engine.pattern_count), 3))
+        frames += nonclean_frames(code, rng, 30)
+        pos = search(engine, frames, cols)
+        assert pos.tolist() == [first_match(engine, p, cols, t) for _, p, t in frames]
+        assert len(set(pos.tolist())) > 8
+
+    def test_rejects_a_pattern_twice(self):
+        # row 2 repeats row 1, {0, 2}
+        with pytest.raises(ValueError, match="stream has a pattern twice"):
+            SoftEngine(build_ca_polar(32, 20, crc=None), HandBuilt([-1, 0, 0], [0, 2, 2]))
+
+    def test_child_found_from_a_parent_in_an_earlier_tile(self):
+        # a parent is looked up in the tile of its first child, so a child in
+        # a later tile is found early and resolved only at its own tile's edge
+        code = build_ca_polar(128, 105)
+        engine = SoftEngine(code, OrbgrandSpec(64, 6))
+        parent = engine.parent
+        first_child = np.full(engine.pattern_count + 1, engine.pattern_count)
+        np.minimum.at(first_child, parent + 1, np.arange(engine.pattern_count))
+        early = np.flatnonzero(tile_of(engine, first_child[parent + 1])
+                               < tile_of(engine, np.arange(engine.pattern_count)))
+        rng = np.random.default_rng(97)
+        rows = rng.choice(early, 90)
+        assert len(set(tile_of(engine, rows).tolist())) >= 3
+        frames = planted(engine, code, rng, rows)
+        cols = packed_parity_columns(code)
+        pos = search(engine, frames, cols)
+        assert pos.tolist() == [first_match(engine, p, cols, t) for _, p, t in frames]
+        exact = rows[pos == rows]
+        assert len(exact) > 0.8 * len(rows)
 
 
 def parent_rows(spec, n):
@@ -360,16 +495,36 @@ def pattern_syndromes(engine, perms, cols, rows):
     return np.bitwise_xor.reduce(np.take_along_axis(sigma, ranks, axis=1), axis=1)
 
 
-def tile_arrays(engine):
-    """Every index array SoftEngine holds: its tiles' levels, and per row
-    the parent slot, the top rank and the test order's in-tile offset."""
-    stack, found = [engine.tiles, engine.parent_slot, engine.top, engine.test_rows], []
+def tile_of(engine, rows):
+    """The tile of each stream row, from the engine's block edges."""
+    return np.searchsorted(engine.block_edges, rows, side="right") - 1
+
+
+def index_arrays(engine):
+    """Every index array SoftEngine holds: its tiles' levels, its spans and
+    child_at, its top ranks, and its hash table."""
+    stack, found = [engine.tiles, engine.spans, engine.child_at, engine.top,
+                    engine.slot_syn, engine.slot_bits], []
     while stack:
         x = stack.pop()
         if isinstance(x, np.ndarray):
             found.append(x)
         elif isinstance(x, (list, tuple)):
             stack.extend(x)
+    return found
+
+
+def slot_parents(engine):
+    """Per parity array, each slot's parent row (-1, the empty pattern, for
+    slot 0 of the even array), read back through its first child."""
+    found = []
+    for spans in engine.spans:
+        rows = []
+        for first_rank, span, start in spans.tolist():
+            children = engine.child_at[start:start + span]
+            child = children[children < engine.pattern_count]
+            rows.append(int(engine.parent[child[0]]))
+        found.append(np.array(rows, dtype=np.int64))
     return found
 
 
@@ -394,11 +549,10 @@ class TestParentAndLeafRows:
         assert pos.tolist() == [first_match(engine, p, cols, t)
                                 for p, t in zip(perms, targets)]
         exact = rows[pos == rows]
-        tile = engine.tile_rows
-        assert ({(r // tile, is_parent[r]) for r in exact}
-                == {(r // tile, is_parent[r]) for r in rows})
-        # orbgrand has parent rows in its first 7 tiles, stepgrand in 2
-        assert len({r // tile for r in rows if is_parent[r]}) >= 2
+        assert ({(t, is_parent[r]) for t, r in zip(tile_of(engine, exact), exact)}
+                == {(t, is_parent[r]) for t, r in zip(tile_of(engine, rows), rows)})
+        # orbgrand has parent rows in its first 4 tiles, stepgrand in 3
+        assert len({t for t, r in zip(tile_of(engine, rows), rows) if is_parent[r]}) >= 3
 
     @pytest.mark.parametrize("first_is_parent", [False, True],
                              ids=["leaf-first", "parent-first"])
@@ -412,7 +566,7 @@ class TestParentAndLeafRows:
         engine = SmallTiles(code, spec)
         cols = packed_parity_columns(code)
         is_parent = parent_rows(spec, code.n)
-        count, tile = engine.pattern_count, engine.tile_rows
+        count, edges = engine.pattern_count, engine.block_edges
         every_row = np.arange(count)
         planted = None
         while planted is None:
@@ -420,7 +574,7 @@ class TestParentAndLeafRows:
             syn = pattern_syndromes(engine, np.tile(perm, (count, 1)), cols, every_row)
             for row in np.flatnonzero(is_parent == first_is_parent):
                 same = np.flatnonzero(syn == syn[row])
-                later = same[same >= (row // tile + 1) * tile]
+                later = same[same >= edges[tile_of(engine, row) + 1]]
                 if same[0] == row and (is_parent[later] != first_is_parent).any():
                     planted = (perm, syn[row], row)
                     break
@@ -450,12 +604,13 @@ class TestParentAndLeafRows:
 
     def test_index_arrays_are_int32_within_a_byte_budget(self):
         engine = SoftEngine(build_ca_polar(128, 105), OrbgrandSpec(64, 6))
-        arrays = tile_arrays(engine)
-        assert arrays and all(a.dtype in (np.int32, np.int16) for a in arrays)
-        assert [a.dtype for a in arrays].count(np.int16) == 1  # test_rows
-        # 1,395,828 bytes when each tile also held its leaves' and levels'
-        # rows; one int32 parent slot and top rank per row, plus the
-        # levels' own, is 1,012,216, and the int16 test order 1,244,854
+        arrays = index_arrays(engine)
+        assert arrays and all(a.dtype == np.int32 for a in arrays)
+        # 1,395,828 bytes when each tile held its rows in an int16 test order
+        # with an int32 parent slot per row; child_at is one int32 per row
+        # (orbgrand's children take every rank of their spans), and the rest
+        # are per parent or per table slot
+        assert engine.child_at.size == engine.pattern_count
         assert sum(a.nbytes for a in arrays) <= 1_395_828
 
 
@@ -509,17 +664,6 @@ class TestWeightParityMask:
             assert _parity(x.astype(np.int32), bits).tolist() == _parity(x, bits).tolist()
 
 
-def rows_by_class(engine):
-    """Per tile, its stream rows in test order, split at the class edge."""
-    edges, at = engine.block_edges, 0
-    for lo, hi, _, pieces in engine.tiles:
-        rows = lo + engine.test_rows[at:at + hi - lo].astype(np.int64)
-        edge = pieces[0][-1][1] if pieces[0] else lo
-        yield rows[:edge - lo], rows[edge - lo:]
-        at += hi - lo
-    assert at == edges[-1] == engine.pattern_count
-
-
 def interleaved_frames(code, rng, count, classes, **kw):
     """count nonclean frames whose weight classes follow the cycle classes."""
     mask = weight_parity_mask(code)
@@ -535,17 +679,27 @@ class TestParityClasses:
     # on codes with only even-weight codewords a frame tests only the rows
     # of its hard word's weight parity
     @pytest.mark.parametrize("engine_class", [SoftEngine, SmallTiles])
-    def test_test_order_splits_each_tile_by_weight_parity(self, engine_class):
+    def test_parent_arrays_split_by_weight_parity(self, engine_class):
         rng = np.random.default_rng(59)
         code = extended_code(rng, 24, 12)
         engine = engine_class(code, OrbgrandSpec(lw_max=30, p_max=4))
         assert engine.class_mask == weight_parity_mask(code)
         weights = (stream_ranks(engine) < code.n).sum(axis=1)
-        for (lo, hi, _, pieces), (even, odd) in zip(engine.tiles, rows_by_class(engine)):
-            assert sorted([*even, *odd]) == list(range(lo, hi))
-            assert (np.diff(even) > 0).all() and (np.diff(odd) > 0).all()
-            assert (weights[even] % 2 == 0).all() and (weights[odd] % 2 == 1).all()
-            assert all(h1 - h0 <= engine.tile_rows // 2 for c in pieces for h0, h1 in c)
+        first_child = {}
+        for row, p in enumerate(engine.parent.tolist()):
+            first_child.setdefault(p, row)
+        found = slot_parents(engine)
+        assert found[0][0] == -1  # the empty pattern: slot 0, even
+        assert sorted(np.concatenate(found).tolist()) == sorted(first_child)
+        for k, rows in enumerate(found):
+            weight = np.where(rows >= 0, weights[rows], 0)
+            assert (weight % 2 == k).all()
+            # (tile of the first child, weight, row) ascending
+            tile = tile_of(engine, [first_child[r] for r in rows.tolist()])
+            assert (np.lexsort((rows, weight, tile)) == np.arange(len(rows))).all()
+        # a class c slice looks up the parents of the other parity
+        for _, _, blocks, _ in engine.tiles:
+            assert all(block[0] == 1 - c for c in (0, 1) for block in blocks[c])
         if engine_class is SmallTiles:
             assert len(engine.tiles) > 1
 
@@ -555,8 +709,10 @@ class TestParityClasses:
         for code in (build_bch(4, 2), random_code(rng, 24, 12)):
             engine = engine_class(code, OrbgrandSpec(lw_max=30, p_max=4))
             assert engine.class_mask == 0
-            for even, odd in rows_by_class(engine):
-                assert odd.size == 0 and (np.diff(even) == 1).all()
+            # class 0 looks up both arrays in every tile, class 1 holds no frame
+            for _, _, blocks, _ in engine.tiles:
+                assert {b[0] for b in blocks[0]} <= {0, 1} and not blocks[1]
+            assert {b[0] for _, _, blocks, _ in engine.tiles for b in blocks[0]} == {0, 1}
             frames = nonclean_frames(code, rng, 13)
             pos = search(engine, frames, packed_parity_columns(code))
             assert pos.tolist() == [first_match(engine, p, packed_parity_columns(code), t)
@@ -575,7 +731,7 @@ class TestParityClasses:
         for engine in (SmallTiles(code, spec), SoftEngine(code, spec)):
             pos = search(engine, frames, cols)
             assert pos.tolist() == [first_match(engine, p, cols, t) for _, p, t in frames]
-        hit_tiles = {p // SmallTiles.tile_rows for p in pos if p >= 0}
+        hit_tiles = set(tile_of(SmallTiles(code, spec), pos[pos >= 0]).tolist())
         assert len(hit_tiles) > 1
         for (v, _, _), p in zip(frames[:6], pos):
             assert p == literal_outcome(v, code, spec)[0]
@@ -583,14 +739,14 @@ class TestParityClasses:
     @pytest.mark.parametrize("spec", TestBatchedSoftSearch.TILED, ids=lambda s: s.label)
     def test_interleaved_classes_on_capolar128(self, spec):
         # 150 frames at 3 dB, classes alternating: each class crosses two
-        # 64-frame slice edges and hits in several 4096-row tiles
+        # 64-frame slice edges and hits in several tiles
         code = build_ca_polar(128, 105)
         engine = SoftEngine(code, spec)
         cols = packed_parity_columns(code)
         frames = interleaved_frames(code, np.random.default_rng(71), 150, (0, 1), ebn0=3.0)
         pos = search(engine, frames, cols)
         assert pos.tolist() == [first_match(engine, p, cols, t) for _, p, t in frames]
-        assert len({p // engine.tile_rows for p in pos if p >= 0}) > 1
+        assert len(set(tile_of(engine, pos[pos >= 0]).tolist())) > 1
 
 
 class TestBuildEngine:
@@ -691,9 +847,10 @@ def nonclean_frames(code, rng, count, ebn0=None, quantized=False):
 
 
 def search(engine, frames, cols):
-    """engine.search over the frames as one batch."""
+    """engine.search over the frames as one batch, targets in the columns'
+    dtype."""
     perms = np.array([f[1] for f in frames])
-    targets = np.array([f[2] for f in frames], dtype=np.int32)
+    targets = np.array([f[2] for f in frames], dtype=cols.dtype)
     return engine.search(perms, cols, targets)
 
 

@@ -22,6 +22,7 @@ from stepgrand.patterns import (
     map_ranks,
     max_logistic_weight,
     orbgrand_count,
+    orbgrand_table,
     orbgrand_teps,
     sort_reliability,
     subset_teps,
@@ -303,6 +304,23 @@ def test_rank_table_is_the_stream(n, spec):
         one = [int(step[0]) for step in chain_ranks(parent, top, [row], n)]
         assert one == [r - 1 for r in stream[row][::-1]]
     assert list(chain_ranks(parent, top, [-1], n)) == []  # the empty pattern
+
+
+# (128, 64, 6), (127, 64, 6) and (64, 40, 4) pack orbgrand's sort key into
+# one 63-bit word, which takes the argsort; unbounded, n = 16 takes two words
+# and the lexsort
+@pytest.mark.parametrize("n, lw, p", [(128, 64, 6), (127, 64, 6), (64, 40, 4), (16, None, None)])
+def test_orbgrand_table_rows_ascend_in_the_stream_key(n, lw, p):
+    parent, top = orbgrand_table(n, lw, p)
+    assert len(parent) == orbgrand_count(n, lw, p)
+    ranks = walked(parent, top, n, np.arange(len(parent)))  # top first, padded with n
+    real = ranks < n
+    sums, weights = np.where(real, ranks + 1, 0).sum(axis=1), real.sum(axis=1)
+    # rank sum, then flip count, then colex (the ranks top first)
+    key = [*ranks.T[::-1], weights, sums]
+    assert (np.lexsort(key) == np.arange(len(parent))).all()
+    # and no two rows hold one key, so no other order would do
+    assert len(np.unique(np.column_stack(key), axis=0)) == len(parent)
 
 
 def python_int_orbgrand_count(n, lw, p):

@@ -19,7 +19,7 @@ from stepgrand.decoder import (
     decode,
 )
 from stepgrand.fastpath import build_engine, packed_parity_columns
-from stepgrand.gf2 import BitMatrix, BitWord, identity
+from stepgrand.gf2 import BitMatrix, BitWord, gf2_product, identity
 from stepgrand.hwmodel import LatencyModel
 from stepgrand.patterns import chain_ranks
 from stepgrand.sim import (
@@ -431,7 +431,7 @@ class TestGf2Product:
         code = parity_code
         msgs = edge_and_random_rows(code.k, 3)
         g32 = code.generator.to_array().astype(np.float32)
-        cw = sim._gf2_product(msgs, g32)
+        cw = gf2_product(msgs, g32)
         assert cw.dtype == np.uint8
         expected = [code.encode(BitWord.from_array(m)).to_array() for m in msgs]
         assert np.array_equal(cw, np.array(expected))
@@ -448,8 +448,8 @@ class TestGf2Product:
             int((code.recover_message(BitWord.from_array(w)).to_array() != m).sum())
             for w, m in zip(words, msgs)
         )
-        residual = words ^ sim._gf2_product(msgs, g32)
-        assert int(sim._gf2_product(residual, g_inv32).sum()) == expected
+        residual = words ^ gf2_product(msgs, g32)
+        assert int(gf2_product(residual, g_inv32).sum()) == expected
 
 
 class TestStatisticsHelpers:
