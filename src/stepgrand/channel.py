@@ -50,14 +50,6 @@ class SoftVector:
     def __len__(self) -> int:
         return self.llr.size
 
-    @classmethod
-    def from_hard_bits(cls, bits) -> "SoftVector":
-        """Unit-confidence LLRs for a hard-decision word (bit b -> 1 - 2b)."""
-        if isinstance(bits, BitWord):
-            bits = bits.to_array()
-        b = np.asarray(bits, dtype=np.float64)
-        return cls(1.0 - 2.0 * b)
-
 
 def transmit(codeword, cfg: ChannelConfig, rng: np.random.Generator) -> SoftVector:
     """Modulate a codeword, add white Gaussian noise, return channel LLRs.

@@ -19,12 +19,10 @@ import numpy as np
 from .gf2 import (
     BitMatrix,
     BitWord,
+    basis_and_nullspace,
     gf2_product,
     mat_vec,
     nullspace_and_right_inverse,
-    nullspace_basis,
-    right_inverse,
-    row_basis,
     vec_mat,
 )
 
@@ -96,17 +94,14 @@ def code_from_parity_check(name: str, parity_check: BitMatrix) -> LinearCode:
     A full-row-rank matrix is kept as given; redundant rows are reduced to a
     basis (the code itself is unchanged either way).
     """
-    h = row_basis(parity_check)
-    if h.n_rows == parity_check.n_rows:
-        h = parity_check
-    g = nullspace_basis(h)
+    h, g = basis_and_nullspace(parity_check)
     return LinearCode(
         name=name,
         n=h.n_cols,
         k=g.n_rows,
         generator=g,
         parity_check=h,
-        generator_right_inverse=right_inverse(g),
+        generator_right_inverse=nullspace_and_right_inverse(g)[1],
     )
 
 

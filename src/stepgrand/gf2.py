@@ -1,16 +1,17 @@
 """Bit-packed linear algebra over GF(2).
 
 Vectors and matrix rows are stored as Python integers, one bit per coordinate
-(bit j of the integer is coordinate j). Python ints give arbitrary width, and
-XOR plus ``int.bit_count()`` cover everything mod-2 arithmetic needs. The one
-exception is `gf2_product`, the batched product of 0/1 numpy arrays, which
-runs through float32 matrix multiplication and is exact below 2**24 columns.
+(bit j of the integer is coordinate j). They serve the reference decoder and
+the code constructors: a matrix-vector product each way, and one Gauss-Jordan
+reduction with three read-outs (basis and null space, null space and right
+inverse, row combination). `gf2_product`, the batched product of 0/1 numpy
+arrays, runs through float32 matmul and is exact below 2**24 columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -44,14 +45,6 @@ class BitWord:
             raise ValueError(f"value does not fit in {self.n} bits")
 
     @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "BitWord":
-        value = 0
-        for j, b in enumerate(bits):
-            if b & 1:
-                value |= 1 << j
-        return cls(len(bits), value)
-
-    @classmethod
     def from_array(cls, arr: np.ndarray) -> "BitWord":
         bits = np.asarray(arr, dtype=np.uint8) & 1
         packed = np.packbits(bits, bitorder="little").tobytes()
@@ -62,11 +55,6 @@ class BitWord:
             self.value.to_bytes((self.n + 7) // 8 or 1, "little"), dtype=np.uint8
         )
         return np.unpackbits(raw, bitorder="little")[: self.n]
-
-    def bit(self, j: int) -> int:
-        if not 0 <= j < self.n:
-            raise IndexError(f"bit index {j} out of range for length {self.n}")
-        return (self.value >> j) & 1
 
     def weight(self) -> int:
         return self.value.bit_count()
@@ -81,15 +69,6 @@ class BitWord:
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} vs {other.n}")
         return BitWord(self.n, self.value ^ other.value)
-
-    def __iter__(self) -> Iterator[int]:
-        v = self.value
-        for _ in range(self.n):
-            yield v & 1
-            v >>= 1
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self)
 
 
 @dataclass(frozen=True)
@@ -145,14 +124,6 @@ def gf2_product(a: np.ndarray, b32: np.ndarray) -> np.ndarray:
     return ((a.astype(np.float32) @ b32).astype(np.int32) & 1).astype(np.uint8)
 
 
-def identity(n: int) -> BitMatrix:
-    return BitMatrix(n, n, tuple(1 << i for i in range(n)))
-
-
-def zeros(n_rows: int, n_cols: int) -> BitMatrix:
-    return BitMatrix(n_rows, n_cols, (0,) * n_rows)
-
-
 def mat_vec(m: BitMatrix, v: BitWord) -> BitWord:
     """m @ v over GF(2); v has length n_cols, result length n_rows."""
     if v.n != m.n_cols:
@@ -176,37 +147,6 @@ def vec_mat(v: BitWord, m: BitMatrix) -> BitWord:
         vv >>= 1
         i += 1
     return BitWord(m.n_cols, out)
-
-
-def mat_mul_transposed(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """a @ b.T over GF(2): entry (i, j) = parity(a.rows[i] & b.rows[j])."""
-    if a.n_cols != b.n_cols:
-        raise ValueError(f"column mismatch: {a.n_cols} vs {b.n_cols}")
-    rows = []
-    for ra in a.rows:
-        out = 0
-        for j, rb in enumerate(b.rows):
-            out |= parity(ra & rb) << j
-        rows.append(out)
-    return BitMatrix(a.n_rows, b.n_rows, tuple(rows))
-
-
-def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """a @ b over GF(2)."""
-    if a.n_cols != b.n_rows:
-        raise ValueError(f"inner dimension mismatch: {a.n_cols} vs {b.n_rows}")
-    rows = []
-    for ra in a.rows:
-        acc = 0
-        rr = ra
-        i = 0
-        while rr:
-            if rr & 1:
-                acc ^= b.rows[i]
-            rr >>= 1
-            i += 1
-        rows.append(acc)
-    return BitMatrix(a.n_rows, b.n_cols, tuple(rows))
 
 
 def _row_reduce(rows: list[int], n_cols: int) -> tuple[list[int], list[int]]:
@@ -235,39 +175,23 @@ def _row_reduce(rows: list[int], n_cols: int) -> tuple[list[int], list[int]]:
     return rows, pivots
 
 
-def rank(m: BitMatrix) -> int:
-    _, pivots = _row_reduce(list(m.rows), m.n_cols)
-    return len(pivots)
+def basis_and_nullspace(m: BitMatrix) -> tuple[BitMatrix, BitMatrix]:
+    """(a row basis of m, a basis of {v : m @ v = 0}) from one reduction.
 
-
-def row_basis(m: BitMatrix) -> BitMatrix:
-    """The nonzero rows of the reduced row echelon form of m."""
+    The row basis is m itself when m has full row rank, else the nonzero rows
+    of m's reduced row echelon form; reducing that again changes nothing.
+    """
     rows, pivots = _row_reduce(list(m.rows), m.n_cols)
-    return BitMatrix(len(pivots), m.n_cols, tuple(rows[: len(pivots)]))
-
-
-def nullspace_basis(m: BitMatrix) -> BitMatrix:
-    """Basis of {v : m @ v = 0}, one row per free column, ascending free column.
-
-    For an m with r = rank, the result is (n_cols - r) x n_cols and has full
-    row rank. A full-column-rank m yields a 0 x n_cols matrix.
-    """
-    return _nullspace(*_row_reduce(list(m.rows), m.n_cols), m.n_cols)
-
-
-def right_inverse(m: BitMatrix) -> BitMatrix:
-    """An n_cols x n_rows matrix x with m @ x = identity(n_rows).
-
-    Requires full row rank; raises ValueError otherwise. Built from the
-    Gauss-Jordan transform: if e @ m is in reduced row echelon form with pivot
-    columns p_1..p_k, then scattering the rows of e into rows p_1..p_k of a
-    zero matrix gives a right inverse.
-    """
-    return nullspace_and_right_inverse(m)[1]
+    if len(pivots) < m.n_rows:
+        m = BitMatrix(len(pivots), m.n_cols, tuple(rows[: len(pivots)]))
+    return m, _nullspace(rows, pivots, m.n_cols)
 
 
 def nullspace_and_right_inverse(m: BitMatrix) -> tuple[BitMatrix, BitMatrix]:
-    """(nullspace_basis(m), right_inverse(m)) from one reduction."""
+    """(m's null space basis, an x with m @ x = I) from one reduction; raises
+    ValueError unless m has full row rank. If e @ m is reduced with pivot
+    columns p_1..p_k, x holds the rows of e at rows p_1..p_k, zeros elsewhere.
+    """
     k = m.n_rows
     reduced, pivots = _transform_reduce(m)
     if len(pivots) != k:
@@ -301,17 +225,10 @@ def _transform_reduce(m: BitMatrix) -> tuple[list[int], list[int]]:
 
 
 def _nullspace(rows: list[int], pivots: list[int], n_cols: int) -> BitMatrix:
-    """nullspace_basis from a reduction's rows and pivots; bits at n_cols
-    and above are ignored."""
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(n_cols):
-        if f in pivot_set:
-            continue
-        v = 1 << f
-        fmask = 1 << f
-        for j, p in enumerate(pivots):
-            if rows[j] & fmask:
-                v |= 1 << p
-        basis.append(v)
-    return BitMatrix(len(basis), n_cols, tuple(basis))
+    """The basis of {v : m @ v = 0} from a reduction's rows and pivots: one
+    row per free column, ascending, so (n_cols - rank) rows of full rank.
+    Bits at n_cols and above are ignored."""
+    free = sorted(set(range(n_cols)) - set(pivots))
+    basis = tuple(1 << f | sum(1 << p for j, p in enumerate(pivots) if rows[j] >> f & 1)
+                  for f in free)
+    return BitMatrix(len(basis), n_cols, basis)

@@ -88,9 +88,6 @@ class LatencyModel:
     def sorter_cycles(self) -> int:
         return self.n.bit_length() - 1
 
-    # initial hard-word check + the single-flip step + the two-flip step
-    fixed_overhead = 3
-
     @cached_property
     def _anchor_steps(self) -> tuple[dict[int, int], int]:
         return anchor_steps(self.schedule)

@@ -87,6 +87,8 @@ class SweepConfig:
             raise ValueError("workers must be >= 1")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        if self.code.k < 1:
+            raise ValueError(f"code {self.code.name} has no message bits (k = {self.code.k})")
         # raises above 63 parity bits here rather than in a worker
         packed_parity_columns(self.code)
         for spec in self.variants:

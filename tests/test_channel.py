@@ -125,9 +125,3 @@ def test_harden_ties_to_zero():
     v = SoftVector(np.array([0.0, -0.0, 1e-12, -1e-12]))
     assert harden(v).tolist() == [0, 0, 0, 1]
 
-
-def test_from_hard_bits_roundtrip():
-    bits = np.array([1, 0, 1, 1, 0, 0], dtype=np.uint8)
-    v = SoftVector.from_hard_bits(bits)
-    assert np.array_equal(harden(v), bits)
-    assert np.array_equal(np.abs(v.llr), np.ones(6))

@@ -1,11 +1,13 @@
 import signal
 
+import numpy as np
 import pytest
 
 from stepgrand import sim
 from stepgrand.cli import MAX_EBN0_POINTS, build_parser, main, parse_ebn0, parse_variant
-from stepgrand.codes import build_bch, save_alist, save_dense_generator
+from stepgrand.codes import build_bch, code_from_parity_check, save_alist, save_dense_generator
 from stepgrand.decoder import GrandabSpec, OrbgrandSpec, StepGrandSpec
+from stepgrand.gf2 import BitMatrix
 
 
 class TestEbn0Parsing:
@@ -220,6 +222,22 @@ class TestMainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "has 70 parity bits; syndromes pack into at most 63" in err
+
+    def test_code_without_message_bits_exits_nonzero(self, tmp_path, monkeypatch, capsys):
+        # an alist of a square full-rank H has k = 0; it is refused at config
+        # time, before any engine is built
+        def no_engine(*args):
+            pytest.fail("an engine was built for a code with no message bits")
+
+        monkeypatch.setattr(sim, "build_engine", no_engine)
+        path = tmp_path / "square.alist"
+        eye = BitMatrix.from_array(np.eye(8, dtype=np.uint8))
+        save_alist(code_from_parity_check("square", eye), path)
+        rc = main(["--code", f"alist:{path}", "--decoder", "grandab", "--ab", "1",
+                   "--ebn0", "3"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "code square has no message bits (k = 0)" in err
 
     @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
     def test_out_of_range_seed_exits_nonzero(self, seed, capsys):

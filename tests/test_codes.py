@@ -27,11 +27,11 @@ from stepgrand.codes import (
 from stepgrand.gf2 import (
     BitMatrix,
     BitWord,
-    mat_mul_transposed,
-    nullspace_basis,
-    rank,
-    right_inverse,
+    basis_and_nullspace,
+    gf2_product,
+    nullspace_and_right_inverse,
 )
+
 
 # MATLAB: bchgenpoly(127, 106), ascending powers of x.
 BCH_127_106_GENPOLY = [1, 1, 0, 0, 0, 1, 1, 1, 1, 0, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 0, 1]
@@ -80,7 +80,7 @@ class TestBch:
         code = build_bch(7, 3)
         assert (code.n, code.k) == (127, 106)
         assert code.parity_check.n_rows == 21
-        assert rank(code.parity_check) == 21
+        assert basis_and_nullspace(code.parity_check)[0].n_rows == 21
 
     def test_codewords_closed_under_cyclic_shift(self):
         code = build_bch(4, 2)
@@ -143,8 +143,56 @@ def test_parity_checks_and_right_inverses_pinned():
     digest = hashlib.sha256(json.dumps(table).encode()).hexdigest()[:16]
     assert digest == "4e76d1f3b0951a69"
     for c in codes[-5:]:
-        assert c.parity_check == nullspace_basis(c.generator)
-        assert c.generator_right_inverse == right_inverse(c.generator)
+        assert nullspace_and_right_inverse(c.generator) == (
+            c.parity_check, c.generator_right_inverse)
+
+
+def parity_check_variants(seed=43, count=30):
+    """(name, H) pairs: a random full-rank H, then the same H with sums of
+    its rows appended, with a zero row inserted and with a zero column
+    inserted."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        n = int(rng.integers(4, 41))
+        r = int(rng.integers(1, n))
+        # [I | random] with shuffled columns has full row rank r
+        a = np.concatenate([np.eye(r, dtype=np.uint8),
+                            rng.integers(0, 2, size=(r, n - r), dtype=np.uint8)], axis=1)
+        a = a[:, rng.permutation(n)]
+        sums = rng.integers(0, 2, size=(int(rng.integers(1, 4)), r), dtype=np.uint8) @ a % 2
+        zero_col = int(rng.integers(0, n + 1))
+        out += [(f"full{i}", a),
+                (f"redundant{i}", np.concatenate([a, sums])),
+                (f"zero_row{i}", np.insert(a, int(rng.integers(0, r + 1)), 0, axis=0)),
+                (f"zero_col{i}", np.insert(a, zero_col, 0, axis=1))]
+    return out
+
+
+def test_codes_from_parity_checks_pinned():
+    # the digest was taken when code_from_parity_check reduced H twice and G
+    # once, before one reduction of H gave both its basis and its null space
+    codes = [code_from_parity_check(name, BitMatrix.from_array(a))
+             for name, a in parity_check_variants()]
+    table = [[c.name, c.parity_check.rows, c.generator.rows,
+              c.generator_right_inverse.rows] for c in codes]
+    assert len(table) == 120
+    digest = hashlib.sha256(json.dumps(table).encode()).hexdigest()[:16]
+    assert digest == "20e87ab616f08d97"
+
+
+def test_redundant_parity_rows_change_nothing_but_h():
+    variants = parity_check_variants(seed=47, count=20)
+    for (_, full), (_, redundant), (_, zero_row) in zip(
+            variants[::4], variants[1::4], variants[2::4]):
+        h = BitMatrix.from_array(full)
+        code = code_from_parity_check("full", h)
+        assert code.parity_check is h  # a full-rank H is kept as given
+        for extra in (redundant, zero_row):
+            other = code_from_parity_check("extra", BitMatrix.from_array(extra))
+            assert other.generator == code.generator
+            assert other.generator_right_inverse == code.generator_right_inverse
+            assert other.parity_check.n_rows == h.n_rows
 
 
 class TestCrc:
@@ -235,21 +283,21 @@ class TestReliabilityOrder:
 class TestCaPolar:
     def test_smallest_code_without_crc(self):
         code = build_ca_polar(2, 1, crc=None)
-        words = {str(code.encode(BitWord(1, v))) for v in range(2)}
-        assert words == {"00", "11"}
+        words = {tuple(code.encode(BitWord(1, v)).to_array()) for v in range(2)}
+        assert words == {(0, 0), (1, 1)}
 
     def test_length_four_repetition(self):
         # the single most reliable position is index 3, whose transform row
         # is all ones
         code = build_ca_polar(4, 1, crc=None)
-        assert str(code.encode(BitWord(1, 1))) == "1111"
+        assert code.encode(BitWord(1, 1)).to_array().tolist() == [1, 1, 1, 1]
 
     def test_128_105_shapes(self):
         code = build_ca_polar(128, 105)
         assert (code.n, code.k) == (128, 105)
         assert (code.generator.n_rows, code.generator.n_cols) == (105, 128)
         assert (code.parity_check.n_rows, code.parity_check.n_cols) == (23, 128)
-        assert rank(code.parity_check) == 23
+        assert basis_and_nullspace(code.parity_check)[0].n_rows == 23
 
     def test_codeword_preimage_structure(self):
         # undoing the transform must land message plus check bits on the
@@ -359,7 +407,7 @@ class TestAlistFormat:
         stacked = BitMatrix(
             2 * code.k, code.n, code.generator.rows + loaded.generator.rows
         )
-        assert rank(stacked) == code.k
+        assert basis_and_nullspace(stacked)[0].n_rows == code.k
 
     def test_redundant_rows_are_reduced(self, tmp_path):
         f = tmp_path / "dep.alist"
@@ -476,5 +524,6 @@ class TestDenseGeneratorFormat:
 
 def test_parity_check_annihilates_generator_for_all_builders():
     for code in [build_bch(3, 1), build_bch(4, 2), build_ca_polar(16, 8, crc=None)]:
-        product = mat_mul_transposed(code.parity_check, code.generator)
-        assert not any(product.rows)
+        product = gf2_product(code.parity_check.to_array(),
+                              code.generator.to_array().astype(np.float32).T)
+        assert not product.any()

@@ -21,7 +21,7 @@ from stepgrand.decoder import (
     syndrome_precompute,
     worst_case_queries,
 )
-from stepgrand.gf2 import BitMatrix, BitWord, rank
+from stepgrand.gf2 import BitMatrix, BitWord, basis_and_nullspace
 from stepgrand.patterns import map_ranks, sort_reliability, subset_teps
 
 
@@ -40,7 +40,7 @@ def random_code(rng, n, k):
     while True:
         rows = tuple(rng.getrandbits(n) for _ in range(k))
         g = BitMatrix(k, n, rows)
-        if rank(g) == k:
+        if basis_and_nullspace(g)[0].n_rows == k:
             return code_from_generator(f"random({n},{k})", g)
 
 

@@ -41,9 +41,10 @@ class TestWorstCase:
     def test_reference_count_is_279(self):
         model = reference_model()
         assert model.worst_case == 279
-        # itemized: initial + one-flip step + two-flip step, 7 sorter stages,
-        # then C(28,1) + C(16,2) + C(10,3) + C(4,4) composite steps
-        assert model.fixed_overhead + model.sorter_cycles == 10
+        # itemized: a weight-2 hit costs the hard-word check, the one- and
+        # two-flip steps and 7 sorter stages; the worst case adds
+        # C(28,1) + C(16,2) + C(10,3) + C(4,4) composite steps
+        assert model.cycles_from_steps(2)[0] == 10
         bases, last = anchor_steps(model.schedule)
         steps = [*bases.values(), last]
         assert [b - a for a, b in zip(steps, steps[1:])] == [28, 120, 120, 1]

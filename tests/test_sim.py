@@ -7,7 +7,7 @@ import pytest
 
 from stepgrand import sim
 from stepgrand.channel import ChannelConfig, SoftVector, noise_sigma, transmit
-from stepgrand.codes import LinearCode, build_bch, build_ca_polar
+from stepgrand.codes import LinearCode, build_bch, build_ca_polar, code_from_parity_check
 from stepgrand.decoder import (
     ABANDONED,
     CLEAN,
@@ -19,7 +19,7 @@ from stepgrand.decoder import (
     decode,
 )
 from stepgrand.fastpath import build_engine, packed_parity_columns
-from stepgrand.gf2 import BitMatrix, BitWord, gf2_product, identity
+from stepgrand.gf2 import BitMatrix, BitWord, gf2_product
 from stepgrand.hwmodel import LatencyModel
 from stepgrand.patterns import chain_ranks
 from stepgrand.sim import (
@@ -34,9 +34,10 @@ from stepgrand.sim import (
 
 
 def identity_code(n: int) -> LinearCode:
+    eye = BitMatrix.from_array(np.eye(n, dtype=np.uint8))
     return LinearCode(
-        name=f"identity({n})", n=n, k=n, generator=identity(n),
-        parity_check=BitMatrix(0, n, ()), generator_right_inverse=identity(n),
+        name=f"identity({n})", n=n, k=n, generator=eye,
+        parity_check=BitMatrix(0, n, ()), generator_right_inverse=eye,
     )
 
 
@@ -381,6 +382,15 @@ class TestConfigValidation:
     def test_out_of_range_parameters_fail_at_config_time(self, code, spec, fragment):
         with pytest.raises(ValueError, match=re.escape(fragment)):
             SweepConfig(code=code, variants=(GrandabSpec(1), spec), ebn0_db=(1.0,))
+
+    def test_rejects_a_code_without_message_bits(self):
+        # a square full-rank H leaves k = 0, which has no rate to set the noise
+        eye = BitMatrix.from_array(np.eye(8, dtype=np.uint8))
+        square = code_from_parity_check("square8", eye)
+        assert square.k == 0
+        message = "code square8 has no message bits (k = 0)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SweepConfig(code=square, variants=(GrandabSpec(1),), ebn0_db=(3.0,))
 
 
 class TestWideSyndromes:
