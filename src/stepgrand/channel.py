@@ -47,9 +47,6 @@ class SoftVector:
     def __post_init__(self) -> None:
         self.llr = np.asarray(self.llr, dtype=np.float64)
 
-    def __len__(self) -> int:
-        return self.llr.size
-
 
 def transmit(codeword, cfg: ChannelConfig, rng: np.random.Generator) -> SoftVector:
     """Modulate a codeword, add white Gaussian noise, return channel LLRs.

@@ -23,7 +23,6 @@ from .codes import LinearCode
 from .gf2 import BitWord
 from .patterns import (
     StepSchedule,
-    Tep,
     build_step_schedule,
     map_ranks,
     orbgrand_count,
@@ -45,13 +44,12 @@ class DecodeTrace:
     """Where in the pattern stream a decode ended.
 
     outcome is "clean" (hard word already a codeword), "hit" (some pattern
-    matched) or "abandoned" (stream exhausted). For a hit, weight and ranks
-    describe the matching pattern and stream_position is its 0-based index
-    in the stream.
+    matched) or "abandoned" (stream exhausted). For a hit, ranks is the
+    matching pattern, whose flip count is len(ranks), and stream_position
+    is its 0-based index in the stream.
     """
 
     outcome: str
-    weight: int | None = None
     ranks: tuple[int, ...] | None = None
     stream_position: int | None = None
 
@@ -90,15 +88,17 @@ def syndrome_precompute(
 def decode(
     v: SoftVector,
     code: LinearCode,
-    teps: Iterable[Tep],
+    teps: Iterable[tuple[int, ...]],
     uses_sorting: bool,
     use_syndrome_table: bool = True,
 ) -> DecodeResult:
     """Run the guess-and-test loop over one frame.
 
-    Patterns are consumed strictly in stream order and the first syndrome
-    match wins, so the query count of a hit at stream position t is t + 2
-    (the initial check plus t + 1 pattern tests).
+    teps yields each pattern as its ascending tuple of 1-based reliability
+    ranks (without the sort, rank r is channel position r - 1). Patterns are
+    consumed strictly in stream order and the first syndrome match wins, so
+    the query count of a hit at stream position t is t + 2 (the initial
+    check plus t + 1 pattern tests).
     """
     if len(v.llr) != code.n:
         raise ValueError(f"frame length {len(v.llr)} != code length {code.n}")
@@ -119,18 +119,18 @@ def decode(
     perm = sort_reliability(v.llr) if uses_sorting else None
     table = syndrome_precompute(code, perm)
 
-    for position, tep in enumerate(teps):
+    for position, ranks in enumerate(teps):
         queries += 1
         if use_syndrome_table:
             guess = 0
-            for r in tep.ranks:
+            for r in ranks:
                 guess ^= table[r - 1]
             found = guess == s0.value
         else:
-            e = map_ranks(tep, code.n, perm)
+            e = map_ranks(ranks, code.n, perm)
             found = code.syndrome(y ^ e).is_zero()
         if found:
-            e = map_ranks(tep, code.n, perm)
+            e = map_ranks(ranks, code.n, perm)
             cw = y ^ e
             return DecodeResult(
                 message=code.recover_message(cw),
@@ -138,12 +138,7 @@ def decode(
                 noise_guess=e,
                 queries=queries,
                 abandoned=False,
-                trace=DecodeTrace(
-                    outcome=HIT,
-                    weight=tep.weight,
-                    ranks=tep.ranks,
-                    stream_position=position,
-                ),
+                trace=DecodeTrace(outcome=HIT, ranks=ranks, stream_position=position),
             )
     return DecodeResult(
         message=None,
@@ -168,7 +163,7 @@ class _SubsetStream:
     """A stream of weights 1, 2, ... in turn, weight w over the gammas(n)[w - 1]
     least reliable ranks; a subclass supplies gammas."""
 
-    def teps(self, n: int) -> Iterable[Tep]:
+    def teps(self, n: int) -> Iterable[tuple[int, ...]]:
         return subset_teps(self.gammas(n))
 
     def rank_table(self, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,7 +207,7 @@ class OrbgrandSpec:
         p = "n" if self.p_max is None else str(self.p_max)
         return f"orbgrand(lw={lw},p={p})"
 
-    def teps(self, n: int) -> Iterable[Tep]:
+    def teps(self, n: int) -> Iterable[tuple[int, ...]]:
         return orbgrand_teps(n, self.lw_max, self.p_max)
 
     def rank_table(self, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -118,23 +118,22 @@ class LatencyModel:
         return 1 + self.sorter_cycles + step, 1 + step
 
     def time_step(self, trace: DecodeTrace) -> int:
-        """Search time step at which a nonclean frame finishes."""
+        """Search time step at which a nonclean frame finishes. A hit's flip
+        count w = len(trace.ranks) sets it: step w for w <= 2, else the step
+        of its anchor, the first w - 2 ranks."""
         bases, last = self._anchor_steps
         if trace.outcome == ABANDONED:
             return last
         if trace.outcome != HIT:
             raise ValueError(f"unknown trace outcome {trace.outcome!r}")
-        if trace.weight is None or trace.ranks is None:
-            raise ValueError("hit trace must carry weight and ranks")
-        if len(trace.ranks) != trace.weight:
-            raise ValueError("trace weight disagrees with its ranks")
-        if trace.weight <= 2:
-            return trace.weight
-        if trace.weight > len(self.schedule.gammas):
-            raise ValueError(f"schedule has no weight-{trace.weight} entry")
-        gamma = self.schedule.gammas[trace.weight - 1]
-        anchor = trace.ranks[: trace.weight - 2]
-        return bases[trace.weight] + combination_rank(anchor, gamma - 2)
+        if trace.ranks is None:
+            raise ValueError("hit trace must carry its ranks")
+        w = len(trace.ranks)
+        if w <= 2:
+            return w
+        if w > len(self.schedule.gammas):
+            raise ValueError(f"schedule has no weight-{w} entry")
+        return bases[w] + combination_rank(trace.ranks[:w - 2], self.schedule.gammas[w - 1] - 2)
 
     def frame_cycles(self, trace: DecodeTrace) -> int:
         """Latency of one frame, sorter included."""

@@ -1,7 +1,8 @@
 """Test-error-pattern streams and reliability bookkeeping.
 
-A pattern is a set of 1-based reliability ranks (rank 1 = least reliable
-position). Streams are lazy generators in a fixed, documented order:
+A pattern is the ascending tuple of its 1-based reliability ranks (rank 1 =
+least reliable position), so its flip count is its length. Streams are lazy
+generators of such tuples in a fixed, documented order:
 
 - subsets: weight 1, then 2, ..., weight w over the gamma_w least reliable
   ranks, each weight in lexicographic order of ascending tuples. A stepped
@@ -32,28 +33,6 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .gf2 import BitWord, word_from_indices
-
-
-@dataclass(frozen=True)
-class Tep:
-    """A test error pattern: strictly increasing 1-based reliability ranks."""
-
-    ranks: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        prev = 0
-        for r in self.ranks:
-            if r <= prev:
-                raise ValueError(f"ranks must be strictly increasing, got {self.ranks}")
-            prev = r
-
-    @property
-    def weight(self) -> int:
-        return len(self.ranks)
-
-    @property
-    def logistic_weight(self) -> int:
-        return sum(self.ranks)
 
 
 @dataclass(frozen=True)
@@ -161,12 +140,11 @@ def grown_levels(parent: np.ndarray) -> Iterator[tuple[int, int]]:
         lo = hi
 
 
-def subset_teps(gammas: Sequence[int]) -> Iterator[Tep]:
+def subset_teps(gammas: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Weights 1, 2, ..., len(gammas) in turn: weight w over the gammas[w - 1]
     least reliable ranks, each weight in lexicographic order."""
     for w, gamma in enumerate(gammas, start=1):
-        for combo in itertools.combinations(range(1, gamma + 1), w):
-            yield Tep(combo)
+        yield from itertools.combinations(range(1, gamma + 1), w)
 
 
 def subset_table(gammas: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -251,15 +229,14 @@ def orbgrand_count(n: int, lw_max: int | None, p_max: int | None) -> int:
     return int(total)
 
 
-def orbgrand_teps(n: int, lw_max: int | None, p_max: int | None) -> Iterator[Tep]:
+def orbgrand_teps(n: int, lw_max: int | None, p_max: int | None) -> Iterator[tuple[int, ...]]:
     """Logistic-weight-ordered patterns: rank sums 1..lw_max ascending; within
     a level, fewer parts first, then colex; at most p_max ranks per pattern.
     None leaves either bound open."""
     lw_max, p_max = _orbgrand_bounds(n, lw_max, p_max)
     for lw in range(1, lw_max + 1):
         for parts in range(1, p_max + 1):
-            for combo in distinct_partitions(lw, parts, n):
-                yield Tep(combo)
+            yield from distinct_partitions(lw, parts, n)
 
 
 def orbgrand_table(n: int, lw_max: int | None, p_max: int | None
@@ -321,15 +298,15 @@ def sort_reliability(llr: np.ndarray) -> np.ndarray:
     return perm
 
 
-def map_ranks(tep: Tep, n: int, perm: np.ndarray | None = None) -> BitWord:
-    """Noise word with ones at the channel positions of the pattern's ranks.
+def map_ranks(ranks: tuple[int, ...], n: int, perm: np.ndarray | None = None) -> BitWord:
+    """Noise word with ones at the channel positions of the ascending ranks.
 
     Without a reliability sort, rank r means channel position r-1.
     """
-    if tep.ranks and tep.ranks[-1] > n:
-        raise ValueError(f"rank {tep.ranks[-1]} out of range for n={n}")
+    if ranks and ranks[-1] > n:
+        raise ValueError(f"rank {ranks[-1]} out of range for n={n}")
     if perm is None:
-        positions = [r - 1 for r in tep.ranks]
+        positions = [r - 1 for r in ranks]
     else:
-        positions = [int(perm[r - 1]) for r in tep.ranks]
+        positions = [int(perm[r - 1]) for r in ranks]
     return BitWord(n, word_from_indices(n, positions))

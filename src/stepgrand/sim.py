@@ -53,6 +53,9 @@ from .hwmodel import LatencyModel
 from .patterns import sort_reliability
 
 CHUNK_FRAMES = 1024
+# a chunk's noise is keyed by (point << 32) | chunk, so a point of more than
+# 2**32 chunks would reuse the next point's noise
+MAX_FRAMES = CHUNK_FRAMES << 32
 _MASK64 = (1 << 64) - 1
 # every engine holds its whole pattern stream in a table; above this many
 # patterns a config is refused before any table is built
@@ -83,6 +86,9 @@ class SweepConfig:
             raise ValueError("min_frame_errors must be >= 1")
         if self.max_frames < 1:
             raise ValueError("max_frames must be >= 1")
+        if self.max_frames > MAX_FRAMES:
+            raise ValueError(f"max_frames must be at most {MAX_FRAMES}"
+                             f" (2**32 chunks), got {self.max_frames}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if not 0 <= self.seed < 1 << 64:
@@ -297,7 +303,7 @@ def _results_in_order(cfg: SweepConfig, point_index: int, ebn0: float,
 
 
 def _simulate_point(cfg: SweepConfig, point_index: int, ebn0: float,
-                    executor) -> ComparePoint:
+                    executor, timed: Sequence[bool]) -> ComparePoint:
     v = len(cfg.variants)
     sums = np.zeros((v, 4), dtype=np.int64)
     peaks = np.zeros((v, 2), dtype=np.int64)
@@ -315,15 +321,14 @@ def _simulate_point(cfg: SweepConfig, point_index: int, ebn0: float,
             capped = False
             break
     stats = []
-    for spec, (errors, bit_errors, queries, cycles), (wc_q, wc_c) in zip(
-        cfg.variants, sums.tolist(), peaks.tolist()
+    for has_cycles, (errors, bit_errors, queries, cycles), (wc_q, wc_c) in zip(
+        timed, sums.tolist(), peaks.tolist()
     ):
-        timed = _latency_model(spec, cfg.code.n) is not None
         stats.append(PointStats(
             ebn0_db=ebn0, frames=frames, frame_errors=errors,
             bit_errors=bit_errors, avg_queries=queries / frames,
-            avg_cycles=cycles / frames if timed else None,
-            wc_queries_obs=wc_q, wc_cycles_obs=wc_c if timed else None,
+            avg_cycles=cycles / frames if has_cycles else None,
+            wc_queries_obs=wc_q, wc_cycles_obs=wc_c if has_cycles else None,
             capped=capped, k=cfg.code.k,
         ))
     return ComparePoint(
@@ -348,9 +353,10 @@ def _simulate(cfg: SweepConfig) -> list[ComparePoint]:
             initializer=_init_worker,
             initargs=(cfg.code, cfg.variants, cfg.quantize),
         )
+    timed = [_latency_model(spec, cfg.code.n) is not None for spec in cfg.variants]
     with pool as executor:
         return [
-            _simulate_point(cfg, pi, ebn0, executor)
+            _simulate_point(cfg, pi, ebn0, executor, timed)
             for pi, ebn0 in enumerate(cfg.ebn0_db)
         ]
 
@@ -366,6 +372,12 @@ def run_point(cfg: SweepConfig, ebn0_db: float) -> PointStats:
 # CSV emission
 
 
+def _ebn0_text(ebn0_db: float) -> str:
+    """An Eb/N0 point as "g" writes it where that reads back exactly, else
+    as the shortest text that does, so distinct points print apart."""
+    return format(ebn0_db, "g") if float(format(ebn0_db, "g")) == ebn0_db else repr(ebn0_db)
+
+
 def _metadata_lines(cfg: SweepConfig) -> list[str]:
     lines = [
         "# stepgrand sweep",
@@ -378,7 +390,7 @@ def _metadata_lines(cfg: SweepConfig) -> list[str]:
         for i, spec in enumerate(cfg.variants, start=1):
             lines.append(f"# v{i}={spec.label}")
     lines += [
-        "# ebn0_db=" + ",".join(format(e, "g") for e in cfg.ebn0_db),
+        "# ebn0_db=" + ",".join(map(_ebn0_text, cfg.ebn0_db)),
         f"# seed={cfg.seed} min_frame_errors={cfg.min_frame_errors}"
         f" max_frames={cfg.max_frames} quantize={int(cfg.quantize)}"
         f" chunk_frames={CHUNK_FRAMES}",
@@ -427,7 +439,7 @@ def write_sweep_csv(cfg: SweepConfig, points: Sequence[ComparePoint], out) -> No
         columns = [p + c for p in prefixes for c in _STAT_COLUMNS]
         print(",".join(["ebn0_db", "frames", *columns, "capped"]), file=fh)
         for point in points:
-            cells = [format(point.ebn0_db, "g"), str(point.frames)]
+            cells = [_ebn0_text(point.ebn0_db), str(point.frames)]
             for s in point.stats:
                 cells += _stat_cells(s)
             cells.append(str(int(point.capped)))

@@ -121,6 +121,20 @@ class TestMainCommand:
                   if ln.startswith("ebn0_db")][0]
         assert "v1_fer" in header and "v2_fer" in header
 
+    def test_close_ebn0_points_print_apart(self, dense_code_path, tmp_path):
+        # six significant digits would print both close points as 10; a
+        # point that six digits hold prints as before
+        out = tmp_path / "close.csv"
+        rc = main([
+            "--code", f"dense:{dense_code_path}", "--decoder", "grandab", "--ab", "1",
+            "--ebn0", "3.5,10.00001,10.00002", "--max-frames", "1024", "--out", str(out),
+        ])
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        assert "# ebn0_db=3.5,10.00001,10.00002" in lines
+        data = [ln for ln in lines if not ln.startswith("#")][1:]
+        assert [row.split(",")[0] for row in data] == ["3.5", "10.00001", "10.00002"]
+
     def test_alist_code_source(self, tmp_path):
         path = tmp_path / "code.alist"
         save_alist(build_bch(4, 1), path)
@@ -186,6 +200,8 @@ class TestMainCommand:
           "--workers", "2", "--ebn0", "4"], "lw_max must be in [0, 8256], got 9000"),
         (["--code", "bch127", "--decoder", "grandab", "--ab", "-1", "--ebn0", "4"],
          "max_weight must be in [0, 127], got -1"),
+        (["--code", "bch127", "--ebn0", "4", "--max-frames", str((1024 << 32) + 1)],
+         "max_frames must be at most 4398046511104"),
     ])
     def test_config_errors_exit_nonzero(self, argv, fragment, capsys):
         rc = main(argv)

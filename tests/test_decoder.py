@@ -77,7 +77,6 @@ class TestSingleFlip:
             v = soft_from_codeword(cw, flip_positions=[p], magnitudes=[0.2])
             result = decode(v, code, spec.teps(code.n), uses_sorting=True)
             assert result.trace.outcome == HIT
-            assert result.trace.weight == 1
             assert result.trace.ranks == (1,)
             assert result.queries == 2
             assert result.message == msg
@@ -93,7 +92,7 @@ class TestSingleFlip:
             p = rng.randrange(code.n)
             v = soft_from_codeword(cw, flip_positions=[p], magnitudes=[0.5])
             result = decode(v, code, spec.teps(code.n), uses_sorting=True)
-            if result.trace.outcome == HIT and result.trace.weight == 1:
+            if result.trace.outcome == HIT and len(result.trace.ranks) == 1:
                 assert result.queries <= 1 + gamma_1
 
 
@@ -106,9 +105,9 @@ class TestQueryOrderFidelity:
             v = soft_from_codeword(y)
             consumed = []
             def counting_stream():
-                for tep in subset_teps((code.n,) * 3):
-                    consumed.append(tep)
-                    yield tep
+                for ranks in subset_teps((code.n,) * 3):
+                    consumed.append(ranks)
+                    yield ranks
             result = decode(v, code, counting_stream(), uses_sorting=False)
             if result.trace.outcome == CLEAN:
                 assert consumed == []
@@ -118,7 +117,7 @@ class TestQueryOrderFidelity:
             else:
                 assert result.trace.stream_position == len(consumed) - 1
                 assert result.queries == 1 + len(consumed)
-                assert consumed[-1].ranks == result.trace.ranks
+                assert consumed[-1] == result.trace.ranks
 
 
 class TestExhaustiveIsMinimumDistance:
@@ -245,16 +244,16 @@ class TestAdversarialFourFlip:
             perm = sort_reliability(v.llr)
             y = BitWord.from_array((v.llr < 0).astype(np.uint8))
             expected = None
-            for i, tep in enumerate(spec.teps(code.n)):
-                e = map_ranks(tep, code.n, perm)
+            for i, ranks in enumerate(spec.teps(code.n)):
+                e = map_ranks(ranks, code.n, perm)
                 if code.is_codeword(y ^ e):
-                    expected = (i, tep.ranks)
+                    expected = (i, ranks)
                     break
             if expected is None:
                 assert result.abandoned
             else:
                 assert (result.trace.stream_position, result.trace.ranks) == expected
-                if result.trace.weight == 4:
+                if len(result.trace.ranks) == 4:
                     saw_weight_four = True
                     assert all(r <= gamma_4 for r in result.trace.ranks)
         assert saw_weight_four
@@ -276,8 +275,8 @@ class TestSupersetDominance:
         n = 16
         step = StepGrandSpec(alpha=1, beta=6, p_max=2)  # subsets (12,1),(6,2)
         orb = OrbgrandSpec(lw_max=12, p_max=2)
-        step_set = {t.ranks for t in step.teps(n)}
-        orb_set = {t.ranks for t in orb.teps(n)}
+        step_set = set(step.teps(n))
+        orb_set = set(orb.teps(n))
         assert step_set <= orb_set
 
     def test_step_success_implies_superset_success(self):

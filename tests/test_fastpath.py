@@ -67,7 +67,7 @@ class TestHardEngine:
         code = build_bch(m, t)
         spec = GrandabSpec(max_weight=ab)
         engine = HardEngine(code, spec)
-        stream = [tep.ranks for tep in spec.teps(code.n)]
+        stream = list(spec.teps(code.n))
         assert engine.pattern_count == len(stream)
         assert [engine.hit_ranks(row) for row in range(len(stream))] == stream
         # one table of the distinct syndromes, strictly increasing, each with
@@ -137,9 +137,9 @@ class TestHardEngine:
         assert report.stream_position >= 0
         # walk the stream up to the reported position: no earlier pattern may
         # share the syndrome
-        for i, tep in enumerate(GrandabSpec(3).teps(code.n)):
+        for i, ranks in enumerate(GrandabSpec(3).teps(code.n)):
             syn = 0
-            for r in tep.ranks:
+            for r in ranks:
                 syn ^= int(cols[r - 1])
             if i < report.stream_position:
                 assert syn != target
@@ -195,7 +195,7 @@ class TestSoftEngine:
         engine = SoftEngine(code, spec)
         stream = list(spec.teps(code.n))
         for row in (0, 5, 17, len(stream) - 1):
-            assert engine.hit_ranks(row) == stream[row].ranks
+            assert engine.hit_ranks(row) == stream[row]
 
     def test_search_finds_planted_pattern(self):
         code = build_ca_polar(32, 20, crc=None)
@@ -803,7 +803,7 @@ class TestBuildEngine:
         engine = engine_class(code, spec)
         assert engine.hit_ranks(-1) == ()
         last = engine.pattern_count - 1
-        assert len(engine.hit_ranks(last)) == len(list(spec.teps(code.n))[-1].ranks) == 3
+        assert len(engine.hit_ranks(last)) == len(list(spec.teps(code.n))[-1]) == 3
         perms = np.tile(np.arange(code.n), (2, 1))
         mask = engine.flip_mask(perms, np.array([-1, last]))
         assert not mask[0].any() and mask[1].sum() == 3
@@ -888,7 +888,7 @@ class TestSteppedSchedule:
     def test_matches_first_match_on_benchmark_codes(self, code_name, spec, ebn0):
         code = build_ca_polar(128, 105) if code_name == "capolar128" else build_bch(7, 3)
         engine = build_engine(code, spec)
-        stream = [tep.ranks for tep in spec.teps(code.n)]
+        stream = list(spec.teps(code.n))
         assert engine.pattern_count == spec.pattern_count(code.n) == len(stream)
         assert [engine.hit_ranks(row) for row in range(len(stream))] == stream
         cols = packed_parity_columns(code)

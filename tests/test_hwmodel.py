@@ -82,14 +82,14 @@ class TestFrameCycles:
 
     def test_first_single_flip_pattern(self):
         model = reference_model()
-        trace = DecodeTrace(outcome=HIT, weight=1, ranks=(1,), stream_position=0)
+        trace = DecodeTrace(outcome=HIT, ranks=(1,), stream_position=0)
         assert model.frame_cycles(trace) == 9
 
     def test_single_flip_cost_is_rank_independent(self):
         model = reference_model()
         costs = {
             model.frame_cycles(
-                DecodeTrace(outcome=HIT, weight=1, ranks=(r,), stream_position=r - 1)
+                DecodeTrace(outcome=HIT, ranks=(r,), stream_position=r - 1)
             )
             for r in (1, 20, 54)
         }
@@ -97,14 +97,12 @@ class TestFrameCycles:
 
     def test_two_flip_adds_one_step(self):
         model = reference_model()
-        trace = DecodeTrace(outcome=HIT, weight=2, ranks=(5, 11), stream_position=100)
+        trace = DecodeTrace(outcome=HIT, ranks=(5, 11), stream_position=100)
         assert model.frame_cycles(trace) == 10
 
     def test_last_composite_step_equals_worst_case(self):
         model = reference_model()
-        trace = DecodeTrace(
-            outcome=HIT, weight=6, ranks=(1, 2, 3, 4, 5, 6), stream_position=8827
-        )
+        trace = DecodeTrace(outcome=HIT, ranks=(1, 2, 3, 4, 5, 6), stream_position=8827)
         assert model.frame_cycles(trace) == model.worst_case
 
     def test_abandonment_costs_worst_case(self):
@@ -115,10 +113,10 @@ class TestFrameCycles:
         model = reference_model()
         with pytest.raises(ValueError, match="unknown trace outcome"):
             model.frame_cycles(DecodeTrace(outcome="lost"))
-        with pytest.raises(ValueError, match="weight and ranks"):
+        with pytest.raises(ValueError, match="must carry its ranks"):
             model.frame_cycles(DecodeTrace(outcome=HIT))
-        with pytest.raises(ValueError, match="disagrees"):
-            model.frame_cycles(DecodeTrace(outcome=HIT, weight=3, ranks=(1, 2)))
+        with pytest.raises(ValueError, match="no weight-7 entry"):
+            model.frame_cycles(DecodeTrace(outcome=HIT, ranks=(1, 2, 3, 4, 5, 6, 7)))
 
     def test_stream_walk_is_monotone_and_bounded(self):
         # every pattern in the stream, in order: cycle counts never decrease,
@@ -128,14 +126,12 @@ class TestFrameCycles:
         schedule = model.schedule
         last = 0
         steps_seen: dict[int, set[int]] = {hw: set() for _, hw in schedule.entries}
-        for i, tep in enumerate(subset_teps(schedule.gammas)):
-            trace = DecodeTrace(
-                outcome=HIT, weight=tep.weight, ranks=tep.ranks, stream_position=i
-            )
+        for i, ranks in enumerate(subset_teps(schedule.gammas)):
+            trace = DecodeTrace(outcome=HIT, ranks=ranks, stream_position=i)
             cycles = model.frame_cycles(trace)
             assert last <= cycles <= model.worst_case
             last = cycles
-            steps_seen[tep.weight].add(cycles)
+            steps_seen[len(ranks)].add(cycles)
         for gamma, hw in schedule.entries:
             if hw < 3:
                 assert len(steps_seen[hw]) == 1
@@ -150,7 +146,7 @@ class TestPipelineCycles:
 
     def test_sorter_stages_are_dropped(self):
         model = reference_model()
-        hit1 = DecodeTrace(outcome=HIT, weight=1, ranks=(1,), stream_position=0)
+        hit1 = DecodeTrace(outcome=HIT, ranks=(1,), stream_position=0)
         assert model.pipeline_cycles(hit1) == 2
         assert model.pipeline_cycles(DecodeTrace(outcome=ABANDONED)) == 272
 
@@ -174,9 +170,8 @@ class TestStreamSteps:
         steps = model.stream_steps
         assert steps.dtype == "int64"
         assert len(steps) == spec.pattern_count(128) + 1
-        for p, tep in enumerate(subset_teps(schedule.gammas)):
-            trace = DecodeTrace(outcome=HIT, weight=tep.weight, ranks=tep.ranks,
-                                stream_position=p)
+        for p, ranks in enumerate(subset_teps(schedule.gammas)):
+            trace = DecodeTrace(outcome=HIT, ranks=ranks, stream_position=p)
             assert steps[p] == model.time_step(trace)
         assert steps[-1] == anchor_steps(schedule)[1]
         assert steps[-1] == model.time_step(DecodeTrace(outcome=ABANDONED))

@@ -14,7 +14,6 @@ from stepgrand.channel import SoftVector, quantize
 from stepgrand.decoder import GrandabSpec, OrbgrandSpec, StepGrandSpec
 from stepgrand.patterns import (
     StepSchedule,
-    Tep,
     build_step_schedule,
     chain_ranks,
     distinct_partitions,
@@ -27,18 +26,6 @@ from stepgrand.patterns import (
     sort_reliability,
     subset_teps,
 )
-
-
-def test_tep_validation_and_weights():
-    t = Tep((1, 4, 6))
-    assert t.weight == 3
-    assert t.logistic_weight == 11
-    with pytest.raises(ValueError):
-        Tep((2, 2))
-    with pytest.raises(ValueError):
-        Tep((3, 1))
-    with pytest.raises(ValueError):
-        Tep((0, 1))
 
 
 def test_schedule_pinned_triples():
@@ -101,7 +88,7 @@ def test_every_built_schedule_strictly_decreases():
 
 def test_step_stream_tiny_schedule():
     s = StepSchedule(1, 1, 2, ((3, 1), (2, 2)))
-    got = [t.ranks for t in subset_teps(s.gammas)]
+    got = list(subset_teps(s.gammas))
     assert got == [(1,), (2,), (3,), (1, 2)]
 
 
@@ -119,11 +106,11 @@ def test_step_stream_order_and_bounds():
     prev_weight = 0
     per_entry: dict[int, list[tuple[int, ...]]] = {}
     for t in subset_teps(s.gammas):
-        assert t.weight >= prev_weight
-        prev_weight = t.weight
-        gamma = s.entries[t.weight - 1][0]
-        assert t.ranks[-1] <= gamma
-        per_entry.setdefault(t.weight, []).append(t.ranks)
+        assert len(t) >= prev_weight
+        prev_weight = len(t)
+        gamma = s.entries[len(t) - 1][0]
+        assert t[-1] <= gamma
+        per_entry.setdefault(len(t), []).append(t)
     for (gamma, hw) in s.entries:
         expected = list(itertools.combinations(range(1, gamma + 1), hw))
         assert per_entry[hw] == expected  # lexicographic within an entry
@@ -154,7 +141,7 @@ def test_grown_table_matches_combinations(size):
 
 
 def test_grandab_small_and_empty():
-    got = [t.ranks for t in subset_teps((4, 4))]
+    got = list(subset_teps((4, 4)))
     assert got == [
         (1,), (2,), (3,), (4,),
         (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
@@ -196,13 +183,10 @@ def test_distinct_partitions_against_brute_force():
 
 
 def test_orbgrand_order_small():
-    got = [t.ranks for t in orbgrand_teps(8, 3, 6)]
+    got = list(orbgrand_teps(8, 3, 6))
     # level 1: {1}; level 2: {2}; level 3: fewer parts first
     assert got == [(1,), (2,), (3,), (1, 2)]
-    lw9_two_parts = [
-        t.ranks for t in orbgrand_teps(128, 9, 2)
-        if t.logistic_weight == 9 and t.weight == 2
-    ]
+    lw9_two_parts = [t for t in orbgrand_teps(128, 9, 2) if sum(t) == 9 and len(t) == 2]
     assert lw9_two_parts == [(4, 5), (3, 6), (2, 7), (1, 8)]  # colex
 
 
@@ -211,12 +195,11 @@ def test_orbgrand_stream_properties():
     seen = set()
     count = 0
     for t in orbgrand_teps(128, 40, 6):
-        assert t.logistic_weight >= prev_lw
-        assert t.logistic_weight == sum(t.ranks)
-        assert t.weight <= 6
-        assert t.ranks not in seen
-        seen.add(t.ranks)
-        prev_lw = t.logistic_weight
+        assert sum(t) >= prev_lw
+        assert len(t) <= 6
+        assert t not in seen
+        seen.add(t)
+        prev_lw = sum(t)
         count += 1
     # independent count: partitions per level via brute force
     brute = 0
@@ -285,7 +268,10 @@ RANK_TABLE_CASES = [
 @pytest.mark.parametrize("n, spec", RANK_TABLE_CASES, ids=str)
 def test_rank_table_is_the_stream(n, spec):
     parent, top = spec.rank_table(n)
-    stream = [tep.ranks for tep in spec.teps(n)]
+    stream = list(spec.teps(n))
+    # each pattern is a tuple of strictly ascending ranks within [1, n]
+    assert all(type(t) is tuple and 1 <= t[0] and t[-1] <= n
+               and all(a < b for a, b in zip(t, t[1:])) for t in stream)
     assert parent.dtype == top.dtype == np.int32
     assert parent.shape == top.shape == (len(stream),)
     # each pattern is an earlier row, or the empty pattern -1, plus a rank
@@ -343,7 +329,7 @@ def test_orbgrand_count_matches_python_ints(n, lw, p):
 
 def test_orbgrand_part_cap_small_n():
     # parts may not exceed n: n=3, lw 4 has {1,3} but not {4}
-    got = [t.ranks for t in orbgrand_teps(3, 4, 2)]
+    got = list(orbgrand_teps(3, 4, 2))
     assert (4,) not in got
     assert (1, 3) in got
 
@@ -429,10 +415,9 @@ def test_sort_reliability_repairs_rows_the_unstable_sort_reorders():
 
 
 def test_map_ranks_identity_and_sorted():
-    t = Tep((1, 3))
-    w = map_ranks(t, 4)
+    w = map_ranks((1, 3), 4)
     assert w.to_array().tolist() == [1, 0, 1, 0]
-    w2 = map_ranks(t, 4, np.array([2, 0, 3, 1]))  # ranks 1,3 -> positions 2,3
+    w2 = map_ranks((1, 3), 4, np.array([2, 0, 3, 1]))  # ranks 1,3 -> positions 2,3
     assert w2.to_array().tolist() == [0, 0, 1, 1]
     with pytest.raises(ValueError):
-        map_ranks(Tep((5,)), 4)
+        map_ranks((5,), 4)

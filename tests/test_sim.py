@@ -349,6 +349,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="workers"):
             SweepConfig(code=code, variants=(GrandabSpec(1),),
                         ebn0_db=(1.0,), workers=0)
+        # chunks are keyed (point << 32) | chunk, so a point of more than
+        # 2**32 chunks would reuse the next point's noise
+        SweepConfig(code=code, variants=(GrandabSpec(1),), ebn0_db=(1.0,),
+                    max_frames=CHUNK_FRAMES << 32)
+        with pytest.raises(ValueError, match="max_frames must be at most 4398046511104"):
+            SweepConfig(code=code, variants=(GrandabSpec(1),),
+                        ebn0_db=(1.0,), max_frames=(CHUNK_FRAMES << 32) + 1)
 
     @pytest.mark.parametrize("ebn0", [math.nan, -math.inf, math.inf])
     def test_rejects_non_finite_ebn0(self, ebn0):
@@ -543,8 +550,7 @@ class TestStepCycles:
             if p < 0:
                 trace = DecodeTrace(outcome=ABANDONED)
             else:
-                ranks = engine.hit_ranks(p)
-                trace = DecodeTrace(outcome=HIT, weight=len(ranks), ranks=ranks,
+                trace = DecodeTrace(outcome=HIT, ranks=engine.hit_ranks(p),
                                     stream_position=p)
             assert f == model.frame_cycles(trace)
             assert c == model.pipeline_cycles(trace)
@@ -569,7 +575,7 @@ class TestStepCycles:
         traces = [decode(SoftVector(llr=llr), code, spec.teps(code.n), True).trace
                   for llr in llrs]
         assert {t.outcome for t in traces} == {CLEAN, HIT, ABANDONED}
-        assert any(t.weight == 3 for t in traces)
+        assert any(t.ranks is not None and len(t.ranks) == 3 for t in traces)
         pipe = [model.pipeline_cycles(t) for t in traces]
         assert stats.avg_cycles == pytest.approx(sum(pipe) / frames)
         assert stats.wc_cycles_obs == max(model.frame_cycles(t) for t in traces)
@@ -684,6 +690,15 @@ GOLDEN_GRANDAB_EMPTY = (
     "wc_queries_obs,wc_cycles_obs,capped\n"
     "5,1500,754,4268,5.026667e-01,1.422667e-01,1.000000,,1,,1\n"
 )
+
+
+def test_ebn0_text_is_g_where_exact_and_exact_elsewhere():
+    # up to six significant digits, "g" bytes, exponent form included
+    for e in (0.0, -2.5, 0.1, 1e-05, 123456.0, 1e6, 3e20):
+        assert sim._ebn0_text(e) == format(e, "g")
+    # beyond them, text that reads back as the point itself
+    for e in (10.00001, 1234567.0, 0.1 + 0.2, -1e-9 / 3):
+        assert float(sim._ebn0_text(e)) == e != float(format(e, "g"))
 
 
 class TestGoldenCsv:
