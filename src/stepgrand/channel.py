@@ -56,10 +56,18 @@ def transmit(codeword, cfg: ChannelConfig, rng: np.random.Generator) -> SoftVect
     """
     if isinstance(codeword, BitWord):
         codeword = codeword.to_array()
-    bits = np.asarray(codeword, dtype=np.float64)
+    symbols = np.array(codeword, dtype=np.float64)  # a copy, changed in place
     sigma = cfg.sigma
-    y = (1.0 - 2.0 * bits) + sigma * rng.standard_normal(bits.shape)
-    return SoftVector(2.0 * y / (sigma * sigma))
+    # 2 ((1 - 2 bits) + sigma noise) / sigma^2 in place: each step rounds
+    # exactly as that expression's does, so the LLRs are the same bytes
+    y = rng.standard_normal(symbols.shape)
+    y *= sigma
+    symbols *= -2.0
+    symbols += 1.0
+    y += symbols
+    y *= 2.0
+    y /= sigma * sigma
+    return SoftVector(y)
 
 
 def quantize(v: SoftVector, bits: int = 5) -> SoftVector:

@@ -19,7 +19,8 @@ not sort ignore it. `hwmodel` maps stream positions to hardware steps.
 
 Both find a pattern's syndrome as its parent's XOR one column. HardEngine
 serves the hard-input weight order, whose syndromes are frame-independent,
-by one binary search; SoftEngine serves every reliability-sorted stream
+by one binary search in a table sorted once, as packed (syndrome, row)
+keys; SoftEngine serves every reliability-sorted stream
 (orbgrand and the stepped schedule) by prefix recursion over the frames'
 reliability permutations. It fills the residual syndrome of each parent
 pattern only, and tests all of a parent's children at once by one hashed
@@ -151,7 +152,14 @@ class HardEngine(_RankPatterns):
     """Hard-input search of a frame-independent stream (grandab) through one
     table of its distinct pattern syndromes: sorted_syn strictly increasing,
     and order[i] the lowest stream row whose syndrome is sorted_syn[i], so a
-    target's match in sorted_syn names its first hit."""
+    target's match in sorted_syn names its first hit.
+
+    The table comes from one in-place sort of int64 keys, each row's
+    syndrome packed above its row number: rows ascend within a run of equal
+    syndromes, so each run's first key names its lowest row. A code whose
+    parity bits and row bits overflow 63 bits takes an argsort of the
+    syndromes and a minimum over each run instead, with the same result.
+    """
 
     def __init__(self, code: LinearCode, spec: DecoderSpec):
         super().__init__(code, spec)
@@ -161,18 +169,40 @@ class HardEngine(_RankPatterns):
         syn = np.zeros(self.pattern_count + 1, dtype=cols.dtype)
         for lo, hi in grown_levels(self.parent):
             syn[lo:hi] = syn[self.parent[lo:hi]] ^ cols[self.top[lo:hi]]
-        # an unstable sort: each run of equal syndromes keeps its lowest row,
-        # by a run minimum. int32 rows (tables stop at 2**25 patterns), and
-        # no temporary outlives its use, or the build's peak memory rises
-        by_syn = np.argsort(syn[:-1]).astype(np.int32)
-        syn = syn[by_syn]
-        first = np.ones(len(syn), dtype=bool)  # the start of each run
-        np.not_equal(syn[1:], syn[:-1], out=first[1:])
-        self.sorted_syn = syn[first]
-        del syn
-        starts = np.flatnonzero(first)
-        del first
-        self.order = np.minimum.reduceat(by_syn, starts)
+        # int32 rows (tables stop at 2**25 patterns), and no temporary
+        # outlives its use, or the build's peak memory rises
+        count = self.pattern_count
+        row_bits = (count - 1).bit_length()
+        if code.n - code.k + row_bits <= 63:
+            # one int64 key per row, its syndrome above its row number,
+            # sorted in place: rows ascend within each run of equal
+            # syndromes, so a run's first key holds its lowest row
+            key = np.left_shift(syn[:-1], row_bits, dtype=np.int64)
+            del syn
+            key |= np.arange(count, dtype=np.int32)
+            key.sort()
+            rows = np.empty(count, dtype=np.int32)
+            np.bitwise_and(key, (1 << row_bits) - 1, out=rows, casting="unsafe")
+            key >>= row_bits
+            first = np.ones(count, dtype=bool)  # the start of each run
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            self.order = rows[first]
+            del rows
+            syn = key.astype(cols.dtype, copy=False)
+            del key
+            self.sorted_syn = syn[first]
+        else:
+            # a key would not fit one word: an unstable argsort, and each
+            # run of equal syndromes keeps its lowest row by a run minimum
+            by_syn = np.argsort(syn[:-1]).astype(np.int32)
+            syn = syn[by_syn]
+            first = np.ones(count, dtype=bool)
+            np.not_equal(syn[1:], syn[:-1], out=first[1:])
+            self.sorted_syn = syn[first]
+            del syn
+            starts = np.flatnonzero(first)
+            del first
+            self.order = np.minimum.reduceat(by_syn, starts)
 
     @property
     def weight_tables(self) -> list[dict]:

@@ -97,12 +97,10 @@ class BitMatrix:
         return cls(a.shape[0], a.shape[1], rows)
 
     def to_array(self) -> np.ndarray:
-        out = np.zeros((self.n_rows, self.n_cols), dtype=np.uint8)
-        nbytes = (self.n_cols + 7) // 8 or 1
-        for i, r in enumerate(self.rows):
-            raw = np.frombuffer(r.to_bytes(nbytes, "little"), dtype=np.uint8)
-            out[i] = np.unpackbits(raw, bitorder="little")[: self.n_cols]
-        return out
+        nbytes = (self.n_cols + 7) // 8
+        raw = b"".join(r.to_bytes(nbytes, "little") for r in self.rows)
+        packed = np.frombuffer(raw, dtype=np.uint8).reshape(self.n_rows, nbytes)
+        return np.unpackbits(packed, axis=1, count=self.n_cols, bitorder="little")
 
     def column(self, j: int) -> int:
         """Column j packed into an int (bit i = row i)."""
@@ -114,7 +112,9 @@ class BitMatrix:
         return out
 
     def columns(self) -> tuple[int, ...]:
-        return tuple(self.column(j) for j in range(self.n_cols))
+        """Every column packed into an int, as `column` packs one."""
+        packed = np.packbits(self.to_array().T, axis=1, bitorder="little")
+        return tuple(int.from_bytes(col.tobytes(), "little") for col in packed)
 
 
 def gf2_product(a: np.ndarray, b32: np.ndarray) -> np.ndarray:

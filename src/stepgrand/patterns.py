@@ -95,25 +95,28 @@ def build_step_schedule(
     return StepSchedule(alpha, beta, p_max, tuple(entries))
 
 
-def grown_table(p: int, room: Callable[[int, np.ndarray], int | np.ndarray]
-                ) -> tuple[np.ndarray, np.ndarray]:
+def grown_table(p: int, room: Callable[[int, np.ndarray | None], int | np.ndarray],
+                sums: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Sets of at most p 0-based ranks as (parent, top), grown from the
     empty set (row -1): a (k+1)-set is a k-set, its parent, plus one higher
-    rank below room(k, sums), sums being the k-sets' 1-based rank sums,
-    until p ranks or no set grows. Rows come in blocks of growing weight,
-    each in lexicographic order, so parent ascends."""
+    rank below room(k, rank_sums), until p ranks or no set grows.
+    rank_sums holds the k-sets' 1-based rank sums, int64, if sums is set,
+    and is None otherwise, so a room that reads no sums costs none. Rows
+    come in blocks of growing weight, each in lexicographic order, so
+    parent ascends."""
     parents, tops = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
     top = np.full(1, -1, dtype=np.int32)  # the empty set, whose children start at 0
-    sums = np.zeros(1, dtype=np.int64)
+    rank_sums = np.zeros(1, dtype=np.int64) if sums else None
     base, lo = -1, 0  # the k-sets are rows base..lo - 1; the empty set is -1
     for k in range(p):
-        counts = np.maximum(room(k, sums) - top - 1, 0)
+        counts = np.maximum(room(k, rank_sums) - top - 1, 0)
         if not counts.any():
             break
         # each k-set's children take the ranks above its top in turn
         first = (top + 1 - np.cumsum(counts) + counts).astype(np.int32)
         top = np.arange(counts.sum(), dtype=np.int32) + np.repeat(first, counts)
-        sums = np.repeat(sums, counts) + top + 1
+        if sums:
+            rank_sums = np.repeat(rank_sums, counts) + top + 1
         parents.append(np.repeat(np.arange(base, lo, dtype=np.int32), counts))
         tops.append(top)
         base, lo = lo, lo + len(top)
@@ -245,7 +248,8 @@ def orbgrand_table(n: int, lw_max: int | None, p_max: int | None
     every set within the bounds, then sorted into stream order."""
     lw_max, p_max = _orbgrand_bounds(n, lw_max, p_max)
     # 0-based rank r adds r + 1 to the sum, so it fits while r < lw_max - sum
-    parent, top = grown_table(p_max, lambda k, sums: np.minimum(n, lw_max - sums))
+    parent, top = grown_table(p_max, lambda k, sums: np.minimum(n, lw_max - sums),
+                              sums=True)
     # 1-based rank sums (the empty set's 0 last) and flip counts, by level
     sums = np.zeros(len(parent) + 1, dtype=np.int64)
     weights = np.zeros(len(parent), dtype=np.int64)

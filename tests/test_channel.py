@@ -82,6 +82,26 @@ def test_transmit_reads_uint8_and_float_words_alike():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+@pytest.mark.parametrize("ebn0_db", [-5.0, 3.0, 6.0, 7.0, 40.0])
+def test_transmit_is_the_textbook_expression_bit_for_bit(dtype, ebn0_db):
+    # the in-place arithmetic rounds as 2 y / sigma^2 with
+    # y = (1 - 2 bits) + sigma * noise does, to the last bit
+    cfg = ChannelConfig(ebn0_db, 105 / 128)
+    bits = np.random.default_rng(3).integers(0, 2, (64, 128)).astype(dtype)
+    got = transmit(bits, cfg, np.random.default_rng(11)).llr
+    sigma = cfg.sigma
+    noise = np.random.default_rng(11).standard_normal(bits.shape)
+    y = (1.0 - 2.0 * bits.astype(np.float64)) + sigma * noise
+    assert got.tobytes() == (2.0 * y / (sigma * sigma)).tobytes()
+
+
+def test_transmit_leaves_a_float64_codeword_unchanged():
+    bits = np.array([0.0, 1.0, 1.0, 0.0])
+    transmit(bits, ChannelConfig(3.0, 0.5), np.random.default_rng(0))
+    assert bits.tolist() == [0.0, 1.0, 1.0, 0.0]
+
+
 def test_quantizer_pinned_values():
     v = SoftVector(np.array([0.06, -0.3125, 10.0, -10.0, 0.0, 1.875, -0.0625]))
     q = quantize(v)

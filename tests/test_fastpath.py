@@ -60,14 +60,25 @@ class TestHardEngine:
         assert got == expected
         assert engine.pattern_count == spec.pattern_count(code.n)
 
-    @pytest.mark.parametrize("m, t, ab", [(4, 2, 0), (4, 2, 1), (4, 2, 3), (7, 5, 2)],
-                             ids=["0", "1", "3", "bch127-2"])
-    def test_rank_table_is_the_grandab_stream(self, m, t, ab):
-        # bch(15,7), and bch(127,92), whose 35 parity bits pack into int64
-        code = build_bch(m, t)
+    @pytest.mark.parametrize("make, ab, wide", [
+        (lambda: build_bch(4, 2), 0, False), (lambda: build_bch(4, 2), 1, False),
+        (lambda: build_bch(4, 2), 3, False), (lambda: build_bch(7, 5), 2, False),
+        (lambda: build_bch(7, 10), 2, True), (lambda: build_ca_polar(128, 71), 2, True),
+        (lambda: code_from_generator("low-distance", BitMatrix(2, 64, (0b111, 0b1111000))),
+         2, True),
+    ], ids=["0", "1", "3", "bch127-2", "bch127x64-2", "capolar128x71-2", "low-distance64-2"])
+    def test_rank_table_is_the_grandab_stream(self, make, ab, wide):
+        # bch(15,7); bch(127,92), whose 35 parity bits pack into int64; and
+        # codes whose parity bits (63, 57, 62) leave no room for a row number
+        # beside them in one 63-bit sort key, so the table comes from an
+        # argsort and a run minimum instead. The last has codewords of weight
+        # 3 and 4, so its patterns of weight 1 and 2 share syndromes
+        code = make()
         spec = GrandabSpec(max_weight=ab)
         engine = HardEngine(code, spec)
         stream = list(spec.teps(code.n))
+        row_bits = (len(stream) - 1).bit_length()
+        assert (code.n - code.k + row_bits > 63) == wide
         assert engine.pattern_count == len(stream)
         assert [engine.hit_ranks(row) for row in range(len(stream))] == stream
         # one table of the distinct syndromes, strictly increasing, each with
@@ -83,17 +94,18 @@ class TestHardEngine:
         assert engine.order.dtype == np.int32
         assert engine.order.tolist() == [lowest[s] for s in engine.sorted_syn.tolist()]
         # the table is shorter than the stream, and a search past its end misses
-        above = np.array([1 << (code.n - code.k)], dtype=cols.dtype)
+        above = np.array([np.iinfo(cols.dtype).max], dtype=cols.dtype)
+        assert len(engine.sorted_syn) == 0 or above[0] > engine.sorted_syn[-1]
         targets = np.concatenate([engine.sorted_syn, above])
         assert engine.search(None, None, targets).tolist() == [*engine.order.tolist(), -1]
 
     def test_build_peak_memory(self):
-        # the build peaked at ~11.26 MB while the spec's rank_table filled a
-        # padded (rows x 3) rank table; from (parent, top) alone it peaks at
-        # ~9.44 MB, in the syndrome sort. The bound leaves a few kB for the
-        # interpreter's own allocations. Building that table again, carrying
-        # the sort's int64 indices through the run minimum, or keeping each
-        # temporary until the end raises the peak above it
+        # one in-place sort of packed (syndrome, row) keys peaks at ~8.66 MB,
+        # with (parent, top), the int64 keys and the int32 rows or syndromes
+        # read out of them alive at once. The bound leaves a few kB for the
+        # interpreter's own allocations. A padded rank table, an argsort's
+        # indices, an int64 temporary of the keys, or any temporary kept past
+        # its use raises the peak above it
         code = build_ca_polar(128, 105)
         tracemalloc.start()
         try:
@@ -102,7 +114,7 @@ class TestHardEngine:
         finally:
             tracemalloc.stop()
         assert len(engine.sorted_syn) == 327_229
-        assert peak <= 9_444_000
+        assert peak <= 8_672_000
         # held: parent, top, sorted_syn and order, 5,414,896 bytes; the
         # padded rank table and its flip counts held 7,163,048 with the
         # last two

@@ -153,6 +153,23 @@ def test_columns():
     assert m.columns() == (0b11, 0b10, 0b01)
 
 
+@pytest.mark.parametrize("n_rows, n_cols", [(0, 0), (0, 5), (4, 0), (1, 1), (3, 7),
+                                            (5, 8), (6, 9), (105, 128), (128, 105)])
+def test_to_array_and_columns_round_trip(n_rows, n_cols):
+    # widths that are not a multiple of 8 pad their last byte, and 0 rows or
+    # 0 columns unpack to an empty array of the right shape
+    a = np.random.default_rng(n_rows * 131 + n_cols).integers(
+        0, 2, size=(n_rows, n_cols), dtype=np.uint8)
+    m = BitMatrix.from_array(a)
+    assert (m.n_rows, m.n_cols) == (n_rows, n_cols)
+    got = m.to_array()
+    assert got.dtype == np.uint8 and got.shape == (n_rows, n_cols)
+    assert np.array_equal(got, a)
+    assert BitMatrix.from_array(got) == m
+    assert m.columns() == tuple(m.column(j) for j in range(n_cols))
+    assert m.columns() == BitMatrix.from_array(a.T).rows
+
+
 def test_basis_rank_examples():
     assert basis_and_nullspace(eye(4))[0].n_rows == 4
     assert basis_and_nullspace(BitMatrix(3, 5, (0, 0, 0)))[0].n_rows == 0

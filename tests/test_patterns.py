@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,21 @@ def test_grandab_small_and_empty():
     assert list(subset_teps(())) == []
     with pytest.raises(ValueError):
         list(GrandabSpec(5).teps(4))
+
+
+def test_subset_table_builds_no_rank_sums():
+    # grandab(3) at n = 128 peaks at ~5.66 MB, its level pieces and their
+    # concatenation alive at once; the int64 rank sums that only orbgrand's
+    # room reads would add ~2.7 MB. The bound leaves a few kB for the
+    # interpreter's own allocations
+    tracemalloc.start()
+    try:
+        parent, top = GrandabSpec(3).rank_table(128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(parent) == 349_632
+    assert peak <= 5_674_000
 
 
 def test_grandab_counts():
