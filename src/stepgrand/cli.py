@@ -1,15 +1,15 @@
 """Command-line front end for AWGN sweeps.
 
-Single-variant runs emit the sweep CSV; ``--compare`` takes a
-semicolon-separated variant list (the same syntax the CSV metadata prints,
-e.g. ``"grandab(ab=3);stepgrand(a=2,b=6,p=6)"``) and emits the paired
-comparison CSV instead.
+``--decoder`` names one variant in the syntax the CSV metadata prints, e.g.
+``"stepgrand(a=2,b=6,p=6)"``, and the run emits the sweep CSV; a
+semicolon-separated list of variants, e.g.
+``"grandab(ab=3);stepgrand(a=2,b=6,p=6)"``, emits the paired comparison
+CSV instead.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import re
 import sys
@@ -70,73 +70,49 @@ def parse_ebn0(text: str) -> tuple[float, ...]:
     return points
 
 
+# per decoder: its spec class and, per variant key, the spec field the key
+# sets, the field's value when the key is not given, and the word its label
+# prints for an unbounded field. OrbgrandSpec() itself is unbounded, so
+# orbgrand's defaults here bound it.
+_VARIANTS = {
+    "grandab": (GrandabSpec, {"ab": ("max_weight", 3, None)}),
+    "orbgrand": (OrbgrandSpec, {"lw": ("lw_max", 64, "full"), "p": ("p_max", 6, "n")}),
+    "stepgrand": (StepGrandSpec, {"a": ("alpha", 2, None), "b": ("beta", 6, None),
+                                  "p": ("p_max", 6, None)}),
+}
+
+
 def parse_variant(text: str) -> DecoderSpec:
-    """Parse 'name' or 'name(key=value,...)' into a decoder spec."""
+    """Parse 'name' or 'name(key=value,...)', the syntax spec.label prints,
+    into a decoder spec; a key not given takes its default."""
     m = re.fullmatch(r"\s*([a-z]+)\s*(?:\((.*)\))?\s*", text)
     if not m:
         raise ValueError(f"bad variant {text!r}")
     name, body = m.group(1), m.group(2)
-    kwargs: dict[str, int] = {}
-    if body:
-        for item in body.split(","):
-            if not item.strip():
-                continue
-            key, sep, value = item.partition("=")
-            key = key.strip()
-            if not sep:
-                raise ValueError(f"bad variant parameter {item!r} in {text!r}")
-            if key in kwargs:
-                raise ValueError(f"variant parameter {key!r} given twice in {text!r}")
-            try:
-                kwargs[key] = int(value)
-            except ValueError:
-                raise ValueError(
-                    f"variant parameter {key!r} needs an integer,"
-                    f" got {value.strip()!r}"
-                ) from None
-    if name == "grandab":
-        return GrandabSpec(max_weight=kwargs.pop("ab", 3), **_none(kwargs, text))
-    if name == "orbgrand":
-        return OrbgrandSpec(
-            lw_max=kwargs.pop("lw", 64), p_max=kwargs.pop("p", 6),
-            **_none(kwargs, text),
-        )
-    if name == "stepgrand":
-        return StepGrandSpec(
-            alpha=kwargs.pop("a", 2), beta=kwargs.pop("b", 6),
-            p_max=kwargs.pop("p", 6), **_none(kwargs, text),
-        )
-    raise ValueError(f"unknown decoder {name!r} in {text!r}")
-
-
-def _none(leftover: dict, text: str) -> dict:
-    if leftover:
-        raise ValueError(f"unknown variant parameters {sorted(leftover)} in {text!r}")
-    return {}
-
-
-# the spec field each per-decoder flag sets; a decoder reads the flags
-# whose field its spec has
-_FLAG_FIELDS = {"ab": "max_weight", "lwmax": "lw_max", "alpha": "alpha",
-                "beta": "beta", "pmax": "p_max"}
-
-
-def _given_flags(args: argparse.Namespace) -> dict[str, int]:
-    return {flag: getattr(args, flag) for flag in _FLAG_FIELDS
-            if getattr(args, flag) is not None}
-
-
-def _variant_from_flags(args: argparse.Namespace) -> DecoderSpec:
-    """The --decoder spec at its default parameters with the given flags
-    applied; a flag the decoder does not read is an error."""
-    spec = parse_variant(args.decoder)
-    fields = {f.name for f in dataclasses.fields(spec)}
-    changes = {}
-    for flag, value in _given_flags(args).items():
-        if _FLAG_FIELDS[flag] not in fields:
-            raise ValueError(f"--{flag} does not apply to --decoder {args.decoder}")
-        changes[_FLAG_FIELDS[flag]] = value
-    return dataclasses.replace(spec, **changes)
+    if name not in _VARIANTS:
+        raise ValueError(f"unknown decoder {name!r} in {text!r}")
+    spec, keys = _VARIANTS[name]
+    fields = {field: default for field, default, _ in keys.values()}
+    given: set[str] = set()
+    for item in (body or "").split(","):
+        if not item.strip():
+            continue
+        key, sep, value = (part.strip() for part in item.partition("="))
+        if not sep:
+            raise ValueError(f"bad variant parameter {item!r} in {text!r}")
+        if key in given:
+            raise ValueError(f"variant parameter {key!r} given twice in {text!r}")
+        if key not in keys:
+            raise ValueError(f"unknown variant parameter {key!r} in {text!r}")
+        given.add(key)
+        field, _, unbounded = keys[key]
+        try:
+            fields[field] = None if value == unbounded else int(value)
+        except ValueError:
+            raise ValueError(
+                f"variant parameter {key!r} needs an integer, got {value!r}"
+            ) from None
+    return spec(**fields)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,14 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--code", required=True,
                         help="bch127 | capolar128 | alist:<path> | dense:<path>")
-    parser.add_argument("--decoder", choices=("grandab", "orbgrand", "stepgrand"),
-                        default="stepgrand")
-    parser.add_argument("--alpha", type=int, help="step schedule segments")
-    parser.add_argument("--beta", type=int, help="step schedule decrement unit")
-    parser.add_argument("--pmax", type=int,
-                        help="max flips (stepgrand/orbgrand)")
-    parser.add_argument("--ab", type=int, help="grandab max weight")
-    parser.add_argument("--lwmax", type=int, help="orbgrand max logistic weight")
+    parser.add_argument("--decoder", default="stepgrand",
+                        help="a variant such as 'stepgrand(a=2,b=6,p=6)', the"
+                        " syntax the CSV metadata prints, or a ';'-separated"
+                        " list of variants to compare under common noise")
     parser.add_argument("--ebn0", required=True,
                         help="dB points: start:step:stop or comma list")
     parser.add_argument("--min-frame-errors", type=int, default=100)
@@ -163,8 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="pass LLRs through the 5-bit quantizer")
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", default="-", help="CSV path, '-' for stdout")
-    parser.add_argument("--compare",
-                        help="semicolon-separated variant list; at least two")
     return parser
 
 
@@ -188,19 +158,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code = resolve_code(args.code)
         ebn0 = parse_ebn0(args.ebn0)
-        if args.compare is not None:
-            flags = " ".join(f"--{flag}" for flag in _given_flags(args))
-            if flags:
-                raise ValueError(f"{flags}: not read with --compare; set decoder"
-                                 " parameters in the variant list, e.g. grandab(ab=2)")
-            variants = tuple(
-                parse_variant(t) for t in args.compare.split(";") if t.strip()
-            )
-            if len(variants) < 2:
-                raise ValueError("--compare needs at least two variants"
-                                 " separated by ';'")
-        else:
-            variants = (_variant_from_flags(args),)
+        variants = tuple(
+            parse_variant(t) for t in args.decoder.split(";") if t.strip()
+        )
+        if not variants:
+            raise ValueError(f"--decoder {args.decoder!r} names no variant")
         cfg = SweepConfig(
             code=code, variants=variants, ebn0_db=ebn0,
             min_frame_errors=args.min_frame_errors, max_frames=args.max_frames,

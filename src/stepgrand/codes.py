@@ -357,7 +357,7 @@ def load_alist(path: str | Path) -> LinearCode:
     ints(2, 2)  # declared maxima; actual weights are validated below
     col_w = ints(3, n)
     row_w = ints(4, m)
-    entries: set[tuple[int, int]] = set()
+    h = np.zeros((m, n), dtype=np.uint8)
     for j in range(n):
         lineno = 5 + j
         vals = [v for v in ints(lineno) if v != 0]
@@ -367,16 +367,17 @@ def load_alist(path: str | Path) -> LinearCode:
         for r in vals:
             if not 1 <= r <= m:
                 raise fail(lineno, f"row index {r} out of range 1..{m}")
-            entries.add((r - 1, j))
-    h = np.zeros((m, n), dtype=np.uint8)
-    for r, j in entries:
-        h[r, j] = 1
+            if h[r - 1, j]:
+                raise fail(lineno, f"column {j + 1} lists row index {r} twice")
+            h[r - 1, j] = 1
     for i in range(m):
         lineno = 5 + n + i
         vals = [v for v in ints(lineno) if v != 0]
         if len(vals) != row_w[i]:
             raise fail(lineno, f"row {i + 1} lists {len(vals)} entries, "
                                f"declared weight {row_w[i]}")
+        if len(set(vals)) < len(vals):
+            raise fail(lineno, f"row {i + 1} lists a column index twice")
         if sorted(vals) != list(np.flatnonzero(h[i]) + 1):
             raise fail(lineno, f"row {i + 1} disagrees with the column lists")
     _refuse_trailing(path, raw, 4 + n + m)

@@ -72,6 +72,9 @@ def build_step_schedule(
         raise ValueError(f"p_max must be >= 1, got {p_max}")
     if p_max % alpha != 0:
         raise ValueError(f"alpha={alpha} does not divide p_max={p_max}")
+    if n is not None and p_max > n:
+        # gamma_1 >= p_max, so refused before p_max entries are built
+        raise ValueError(f"p_max={p_max} exceeds block length n={n}")
     per_segment = p_max // alpha
     entries: list[tuple[int, int]] = []
     hw = 1

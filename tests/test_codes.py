@@ -437,6 +437,18 @@ class TestAlistFormat:
         with pytest.raises(ValueError, match=r"bad\.alist:6"):
             load_alist(f)
 
+    def test_repeated_index_cites_line(self, tmp_path):
+        # n = 3, m = 1, and column 3 lists row 1 twice for its declared
+        # weight 2: a set of entries loaded this as H = [[1 1 1]]
+        f = tmp_path / "twice.alist"
+        f.write_text("3 1\n2 3\n1 1 2\n3\n1\n1\n1 1\n1 2 3\n")
+        with pytest.raises(ValueError, match=r"twice\.alist:7: column 3 lists row index 1 twice"):
+            load_alist(f)
+        # the column lists agree with H = [[1 1]]; the row list repeats column 1
+        f.write_text("2 1\n1 2\n1 1\n2\n1\n1\n1 1\n")
+        with pytest.raises(ValueError, match=r"twice\.alist:7: row 1 lists a column index twice"):
+            load_alist(f)
+
     def test_row_column_disagreement_cites_line(self, tmp_path):
         f = tmp_path / "mix.alist"
         f.write_text("2 2\n1 1\n1 1\n1 1\n1\n2\n2\n1\n")

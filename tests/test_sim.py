@@ -1,5 +1,6 @@
 import math
 import re
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -373,6 +374,22 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match=f"{count} patterns .* limit of {limit}"):
                 SweepConfig(code=code, variants=(GrandabSpec(1), spec),
                             ebn0_db=(1.0,))
+
+    def test_huge_stepgrand_p_is_refused_at_once(self):
+        # the schedule has p entries; building them first took seconds and
+        # gigabytes before p was checked against n
+        def too_slow(signum, frame):
+            pytest.fail("stepgrand p=10**9 was not refused within a second")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            with pytest.raises(ValueError, match="p_max=1000000000 exceeds block length n=128"):
+                SweepConfig(code=identity_code(128), variants=(StepGrandSpec(1, 1, 10**9),),
+                            ebn0_db=(1.0,))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_orbgrand_limit_check_does_not_walk_the_stream(self, monkeypatch):
         def walk_stream(spec, n):
