@@ -49,8 +49,6 @@ def parse_ebn0(text: str) -> tuple[float, ...]:
             raise ValueError("ebn0 list must not be empty")
         if len(values) > MAX_EBN0_POINTS:
             raise ValueError(f"ebn0 list has more than {MAX_EBN0_POINTS} points")
-        if len(set(values)) < len(values):
-            raise ValueError(f"ebn0 list {text!r} repeats a point")
         return values
     if len(values) != 3:
         raise ValueError(f"bad ebn0 range {text!r}; expected start:step:stop")

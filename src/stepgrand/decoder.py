@@ -232,10 +232,10 @@ class StepGrandSpec(_SubsetStream):
     def label(self) -> str:
         return f"stepgrand(a={self.alpha},b={self.beta},p={self.p_max})"
 
-    def schedule(self, n: int | None = None) -> StepSchedule:
+    def schedule(self, n: int) -> StepSchedule:
         return build_step_schedule(self.alpha, self.beta, self.p_max, n)
 
-    def gammas(self, n: int | None = None) -> tuple[int, ...]:
+    def gammas(self, n: int) -> tuple[int, ...]:
         return self.schedule(n).gammas
 
 

@@ -61,10 +61,9 @@ def anchor_steps(schedule: StepSchedule) -> tuple[dict[int, int], int]:
     """
     bases = {}
     step = 2
-    for gamma, hw in schedule.entries:
-        if hw >= 3:
-            bases[hw] = step
-            step += math.comb(gamma - 2, hw - 2)
+    for w, gamma in enumerate(schedule.gammas[2:], start=3):
+        bases[w] = step
+        step += math.comb(gamma - 2, w - 2)
     return bases, step
 
 
@@ -80,9 +79,8 @@ class LatencyModel:
             raise ValueError(
                 f"the sorter pipeline needs a power-of-two n, got {self.n}"
             )
-        for gamma, _ in self.schedule.entries:
-            if gamma > self.n:
-                raise ValueError(f"schedule subset {gamma} exceeds n={self.n}")
+        if max(self.schedule.gammas, default=0) > self.n:
+            raise ValueError(f"schedule subset {max(self.schedule.gammas)} exceeds n={self.n}")
 
     @property
     def sorter_cycles(self) -> int:
@@ -120,7 +118,8 @@ class LatencyModel:
     def time_step(self, trace: DecodeTrace) -> int:
         """Search time step at which a nonclean frame finishes. A hit's flip
         count w = len(trace.ranks) sets it: step w for w <= 2, else the step
-        of its anchor, the first w - 2 ranks."""
+        of its anchor, the first w - 2 ranks. A hit the schedule cannot
+        make, by its weight or by a rank above gamma_w, is refused."""
         bases, last = self._anchor_steps
         if trace.outcome == ABANDONED:
             return last
@@ -128,12 +127,12 @@ class LatencyModel:
             raise ValueError(f"unknown trace outcome {trace.outcome!r}")
         if trace.ranks is None:
             raise ValueError("hit trace must carry its ranks")
-        w = len(trace.ranks)
+        gammas, w = self.schedule.gammas, len(trace.ranks)
+        if not 0 < w <= len(gammas) or trace.ranks[-1] > gammas[w - 1]:
+            raise ValueError(f"schedule has no weight-{w} entry holding {trace.ranks}")
         if w <= 2:
             return w
-        if w > len(self.schedule.gammas):
-            raise ValueError(f"schedule has no weight-{w} entry")
-        return bases[w] + combination_rank(trace.ranks[:w - 2], self.schedule.gammas[w - 1] - 2)
+        return bases[w] + combination_rank(trace.ranks[:w - 2], gammas[w - 1] - 2)
 
     def frame_cycles(self, trace: DecodeTrace) -> int:
         """Latency of one frame, sorter included."""

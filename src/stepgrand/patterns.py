@@ -37,26 +37,31 @@ from .gf2 import BitWord, word_from_indices
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Shrinking-subset weight schedule: entries[i] = (gamma, hw) with hw = i+1.
+    """Shrinking-subset weight schedule: weight w is searched over the
+    gammas[w - 1] least reliable ranks, and gamma never grows with w."""
 
-    Weight hw is searched over the gamma least-reliable ranks; gamma strictly
-    decreases as hw grows.
-    """
+    gammas: tuple[int, ...]
 
-    alpha: int
-    beta: int
-    p_max: int
-    entries: tuple[tuple[int, int], ...]
+    def __post_init__(self) -> None:
+        if any(a < b for a, b in zip(self.gammas, self.gammas[1:])):
+            raise ValueError(f"subset sizes {self.gammas} grow with the weight")
+        for w, gamma in enumerate(self.gammas, start=1):
+            if gamma < w:
+                raise ValueError(
+                    f"subset size {gamma} is smaller than weight {w}; "
+                    f"increase beta (beta >= p_max keeps every entry feasible)"
+                )
 
     @property
-    def gammas(self) -> tuple[int, ...]:
-        return tuple(gamma for gamma, _ in self.entries)
+    def entries(self) -> tuple[tuple[int, int], ...]:
+        """(gamma, w) per weight w = 1, 2, ..."""
+        return tuple(zip(self.gammas, range(1, len(self.gammas) + 1)))
 
 
 def build_step_schedule(
     alpha: int, beta: int, p_max: int, n: int | None = None
 ) -> StepSchedule:
-    """Build the (gamma, hw) schedule for the stepped-subset decoder.
+    """Build the schedule of the stepped-subset decoder.
 
     The p_max weights are split into alpha segments of p_max/alpha weights.
     Segment i (1-based) starts at gamma = T(alpha-i+1) * (p_max/alpha) * beta,
@@ -73,29 +78,17 @@ def build_step_schedule(
     if p_max % alpha != 0:
         raise ValueError(f"alpha={alpha} does not divide p_max={p_max}")
     if n is not None and p_max > n:
-        # gamma_1 >= p_max, so refused before p_max entries are built
+        # gamma_1 >= p_max, so refused before p_max subset sizes are built
         raise ValueError(f"p_max={p_max} exceeds block length n={n}")
     per_segment = p_max // alpha
-    entries: list[tuple[int, int]] = []
-    hw = 1
-    for i in range(1, alpha + 1):
-        seg = alpha - i + 1
-        gamma = (seg * (seg + 1) // 2) * per_segment * beta
-        for _ in range(per_segment):
-            entries.append((gamma, hw))
-            hw += 1
-            gamma -= seg * beta
-    for gamma, hw in entries:
-        if gamma < hw:
-            raise ValueError(
-                f"subset size {gamma} is smaller than weight {hw}; "
-                f"increase beta (beta >= p_max keeps every entry feasible)"
-            )
-    if n is not None and entries[0][0] > n:
-        raise ValueError(
-            f"largest subset {entries[0][0]} exceeds block length n={n}"
-        )
-    return StepSchedule(alpha, beta, p_max, tuple(entries))
+    gammas: list[int] = []
+    for seg in range(alpha, 0, -1):
+        top = (seg * (seg + 1) // 2) * per_segment * beta
+        gammas.extend(range(top, top - per_segment * seg * beta, -seg * beta))
+    schedule = StepSchedule(tuple(gammas))
+    if n is not None and gammas[0] > n:
+        raise ValueError(f"largest subset {gammas[0]} exceeds block length n={n}")
+    return schedule
 
 
 def grown_table(p: int, room: Callable[[int, np.ndarray | None], int | np.ndarray],

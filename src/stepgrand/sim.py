@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -82,6 +83,12 @@ class SweepConfig:
             raise ValueError("ebn0_db list must not be empty")
         if not all(map(math.isfinite, self.ebn0_db)):
             raise ValueError(f"ebn0_db values must be finite, got {self.ebn0_db}")
+        # a repeat would run again, as one more CSV row or column
+        for kind, keys, name in (("ebn0_db point", self.ebn0_db, _ebn0_text),
+                                 ("variant", self.variants, lambda spec: spec.label)):
+            repeated = [key for key, count in Counter(keys).items() if count > 1]
+            if repeated:
+                raise ValueError(f"{kind} {name(repeated[0])} is given twice")
         if self.min_frame_errors < 1:
             raise ValueError("min_frame_errors must be >= 1")
         if self.max_frames < 1:

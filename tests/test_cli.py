@@ -52,12 +52,6 @@ class TestEbn0Parsing:
         with pytest.raises(ValueError, match=f"more than {MAX_EBN0_POINTS} points"):
             parse_ebn0(",".join(points))
 
-    @pytest.mark.parametrize("text", ["3,3", "3,4,3.0", "0,-0", "1e0,1"])
-    def test_list_rejects_repeated_points(self, text):
-        # each copy would run as its own point with its own noise
-        with pytest.raises(ValueError, match="repeats a point"):
-            parse_ebn0(text)
-
 
 class TestVariantParsing:
     def test_defaults(self):
@@ -227,7 +221,9 @@ class TestMainCommand:
           "stepgrand(a=1,b=1,p=1000000000)"],
          "p_max=1000000000 exceeds block length n=127"),
         (["--code", "bch127", "--ebn0", "0:1e-10:1e-9"], "points repeat"),
-        (["--code", "bch127", "--ebn0", "3,3"], "ebn0 list '3,3' repeats a point"),
+        (["--code", "bch127", "--ebn0", "3,4,3.0"], "ebn0_db point 3 is given twice"),
+        (["--code", "bch127", "--ebn0", "4", "--decoder", "grandab;grandab(ab=3)"],
+         "variant grandab(ab=3) is given twice"),
         (["--code", "bch127", "--ebn0", ",".join(map(str, range(MAX_EBN0_POINTS + 1)))],
          f"ebn0 list has more than {MAX_EBN0_POINTS} points"),
         (["--code", "bch127", "--ebn0", "4", "--min-frame-errors", "0"],

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 
@@ -11,7 +12,7 @@ from stepgrand.hwmodel import (
     info_throughput_bps,
     latency_seconds,
 )
-from stepgrand.patterns import build_step_schedule, subset_teps
+from stepgrand.patterns import StepSchedule, build_step_schedule, subset_count, subset_teps
 
 CLOCK_HZ = 454e6
 
@@ -57,6 +58,15 @@ class TestWorstCase:
         assert last == 271
         model = reference_model()
         assert model.cycles_from_steps(last) == (279, 272)
+
+    @pytest.mark.parametrize("gammas, worst", [
+        ((100, 99, 46, 19, 11, 7), 279),
+        ((100, 99, 44, 14, 8, 7), 143),
+    ])
+    def test_explicit_gammas(self, gammas, worst):
+        # wide gamma_1 and gamma_2 cost no steps: 10 + C(44,1) + C(17,2)
+        # + C(9,3) + C(5,4) = 279 for the first
+        assert LatencyModel(128, StepSchedule(gammas)).worst_case == worst
 
     def test_worst_case_latency_nanoseconds(self):
         ns = latency_seconds(279, CLOCK_HZ) * 1e9
@@ -117,6 +127,19 @@ class TestFrameCycles:
             model.frame_cycles(DecodeTrace(outcome=HIT))
         with pytest.raises(ValueError, match="no weight-7 entry"):
             model.frame_cycles(DecodeTrace(outcome=HIT, ranks=(1, 2, 3, 4, 5, 6, 7)))
+        with pytest.raises(ValueError, match="no weight-0 entry"):
+            model.frame_cycles(DecodeTrace(outcome=HIT, ranks=()))
+        # gammas (54, 42, 30, 18, 12, 6): each top rank lies past its subset
+        for ranks in ((55,), (100,), (60, 70), (1, 2, 40), (1, 2, 3, 19)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"no weight-{len(ranks)} entry holding {ranks}")):
+                model.frame_cycles(DecodeTrace(outcome=HIT, ranks=ranks))
+        # gammas (5,): no weight-2 hit, and no rank above 5
+        small = LatencyModel(8, build_step_schedule(1, 5, 1, n=8))
+        for ranks in ((2, 3), (7,)):
+            with pytest.raises(ValueError, match=f"no weight-{len(ranks)} entry"):
+                small.frame_cycles(DecodeTrace(outcome=HIT, ranks=ranks))
+        assert small.frame_cycles(DecodeTrace(outcome=HIT, ranks=(5,))) == 5
 
     def test_stream_walk_is_monotone_and_bounded(self):
         # every pattern in the stream, in order: cycle counts never decrease,
@@ -162,14 +185,15 @@ class TestThroughput:
 
 
 class TestStreamSteps:
-    @pytest.mark.parametrize("spec", [StepGrandSpec(2, 6, 6), StepGrandSpec(1, 6, 2)],
-                             ids=lambda s: s.label)
-    def test_table_equals_time_step_at_every_position(self, spec):
-        schedule = spec.schedule(128)
+    @pytest.mark.parametrize("schedule", [
+        StepGrandSpec(2, 6, 6).schedule(128), StepGrandSpec(1, 6, 2).schedule(128),
+        StepSchedule((100, 99, 46, 19, 11, 7)), StepSchedule((100, 99, 44, 14, 8, 7)),
+    ], ids=lambda s: "-".join(map(str, s.gammas)))
+    def test_table_equals_time_step_at_every_position(self, schedule):
         model = LatencyModel(n=128, schedule=schedule)
         steps = model.stream_steps
         assert steps.dtype == "int64"
-        assert len(steps) == spec.pattern_count(128) + 1
+        assert len(steps) == subset_count(schedule.gammas) + 1
         for p, ranks in enumerate(subset_teps(schedule.gammas)):
             trace = DecodeTrace(outcome=HIT, ranks=ranks, stream_position=p)
             assert steps[p] == model.time_step(trace)

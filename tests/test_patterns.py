@@ -56,15 +56,22 @@ def test_schedule_validation_errors():
         build_step_schedule(1, 6, 0)
 
 
+def test_hand_built_schedule_validation():
+    with pytest.raises(ValueError, match="subset size 2 is smaller than weight 3"):
+        StepSchedule((5, 2, 2))
+    with pytest.raises(ValueError, match="grow with the weight"):
+        StepSchedule((4, 5))
+    assert StepSchedule((6, 5, 4)).entries == ((6, 1), (5, 2), (4, 3))
+
+
 def test_schedule_invariants_over_grid():
     for alpha in (1, 2, 3):
         for per in (1, 2, 3):
             p_max = alpha * per
             for beta in (p_max, p_max + 1, 3 * p_max):
                 s = build_step_schedule(alpha, beta, p_max)
-                gammas = [g for g, _ in s.entries]
-                hws = [h for _, h in s.entries]
-                assert hws == list(range(1, p_max + 1))
+                gammas = s.gammas
+                assert len(gammas) == p_max
                 assert all(a > b for a, b in zip(gammas, gammas[1:]))
                 assert all(g >= h for g, h in s.entries)
                 assert s.entries[-1][0] == beta  # final subset is beta wide
@@ -88,7 +95,7 @@ def test_every_built_schedule_strictly_decreases():
 
 
 def test_step_stream_tiny_schedule():
-    s = StepSchedule(1, 1, 2, ((3, 1), (2, 2)))
+    s = StepSchedule((3, 2))
     got = list(subset_teps(s.gammas))
     assert got == [(1,), (2,), (3,), (1, 2)]
 

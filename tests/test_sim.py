@@ -358,6 +358,20 @@ class TestConfigValidation:
             SweepConfig(code=code, variants=(GrandabSpec(1),),
                         ebn0_db=(1.0,), max_frames=(CHUNK_FRAMES << 32) + 1)
 
+    @pytest.mark.parametrize("ebn0_db, text", [
+        ((3.0, 3.0), "3"), ((3.0, 4.0, 3.0), "3"), ((0.0, -0.0), "0"), ((0.5, 0.5), "0.5"),
+    ])
+    def test_rejects_repeated_points(self, ebn0_db, text):
+        # each copy would run as its own point with its own noise
+        with pytest.raises(ValueError, match=f"ebn0_db point {text} is given twice"):
+            SweepConfig(code=identity_code(8), variants=(GrandabSpec(1),), ebn0_db=ebn0_db)
+
+    def test_rejects_repeated_variants(self):
+        # each copy would search every frame again, as its own CSV column
+        variants = (GrandabSpec(2), StepGrandSpec(1, 4, 2), GrandabSpec(2))
+        with pytest.raises(ValueError, match=re.escape("variant grandab(ab=2) is given twice")):
+            SweepConfig(code=build_bch(4, 2), variants=variants, ebn0_db=(3.0,))
+
     @pytest.mark.parametrize("ebn0", [math.nan, -math.inf, math.inf])
     def test_rejects_non_finite_ebn0(self, ebn0):
         with pytest.raises(ValueError, match="ebn0_db values must be finite"):
