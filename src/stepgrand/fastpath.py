@@ -33,7 +33,9 @@ if wt(e) and wt(y) have the same parity, and `weight_parity_mask` reads
 wt(y) mod 2 off y's syndrome. SoftEngine splits the frames into these two
 parity classes and looks up, for each, only the parents whose children
 have its parity, about half of them; on other codes (odd-length BCH) there
-is one class.
+is one class. The engine keeps its parents in one array in (tile, weight
+parity, weight) order, so the parents a class looks up in a tile are one
+range of it.
 """
 
 from __future__ import annotations
@@ -250,11 +252,12 @@ class SoftEngine(_RankPatterns):
     Frames go through in slices of slice_frames, to keep the working set
     small, in a (parents x frames) layout of the columns' dtype; stream rows
     in tiles whose edges, block_edges, start at tile_rows and grow 4x per
-    tile. Every parent (the empty pattern too) has a slot in one of two
-    arrays by its weight's parity, each in (tile, weight, row) order, the
-    tile being the one that holds its first child; the empty pattern is
-    slot 0 of the even array. A tile fills the u of its parents by weight,
-    a range of slots per level that reads the other array, then looks its
+    tile. Every parent (the empty pattern too) has a slot in one residual
+    array, in (tile, weight parity, weight, row) order, the tile being the
+    one that holds its first child; the empty pattern is slot 0. So a
+    tile's parents of one parity are a range of slots, and so is each of
+    its levels, its parents of one weight. A tile fills the u of its
+    parents a level at a time from their parents' slots, then looks its
     parents up in blocks of at most lookup_parents, which bounds the
     temporaries. After a tile every row below its edge has been tested, so
     a frame whose first hit lies below that edge is resolved.
@@ -263,9 +266,10 @@ class SoftEngine(_RankPatterns):
     hard word only if both have the same weight parity, which the frame's
     target gives as parity(class_mask & target) (`weight_parity_mask`). So
     each frame is in class 0 or 1, a slice holds one class, and it looks up
-    only the parents whose children have its class's parity: the array of
-    the other parity. On other codes class_mask is 0, every frame is in
-    class 0, and it looks up both arrays.
+    only the parents whose children have its class's parity: each tile's
+    range of the other parity. On other codes class_mask is 0, every frame
+    is in class 0, and it looks up both of each tile's ranges, one after
+    the other.
 
     A stream with a parent that is not an earlier row, a top rank not
     between its parent's and n, or a pattern twice raises a ValueError at
@@ -299,7 +303,6 @@ class SoftEngine(_RankPatterns):
         is_parent = children > 0
         is_parent[0] = True
         rows = np.flatnonzero(is_parent) - 1
-        span = children[rows + 1].astype(np.int32)  # each parent's child count
         index = np.zeros(count + 1, dtype=np.intp)
         index[rows + 1] = np.arange(len(rows))
         of = index[up]
@@ -310,12 +313,8 @@ class SoftEngine(_RankPatterns):
         offset = top - (top_of + 1)[of]
         if ((offset < 0) | (top >= n)).any():
             raise ValueError(f"stream has a top rank not above its parent's and below {n}")
-        # each span widens past any gap in its children's ranks until every
-        # offset fits
-        wide = np.flatnonzero(offset >= span[of])
-        while wide.size:
-            span[of[wide]] = offset[wide] + 1
-            wide = wide[offset[wide] >= span[of[wide]]]
+        span = np.zeros(len(rows), dtype=np.int32)  # up to each parent's highest child
+        np.maximum.at(span, of, offset + 1)
         start = np.cumsum(span, dtype=np.int32) - span
         # a gap holds count, a row past the stream
         self.child_at = np.full(int(span.sum()), count, dtype=np.int32)
@@ -334,46 +333,42 @@ class SoftEngine(_RankPatterns):
         while ((grown := weight[up_of] + 1) != weight[1:]).any():
             weight[1:] = grown
         width = int(weight.max()) + 1
-        group = tile * width + weight  # (tile, weight), ascending
+        # slots in (tile, weight parity, weight, row) order: the empty
+        # pattern is slot 0, and each (tile, parity) and (tile, weight) group
+        # is a range of slots; per slot, the parent's first child rank, span
+        # length and span start in child_at
+        group = (tile * 2 + weight % 2) * width + weight
         order = np.argsort(group, kind="stable")
-        # per parity array: its parents in slot order, each parent's slot in
-        # its array, and per slot the parent's first child rank, span length
-        # and span start in child_at
-        members = [order[weight[order] % 2 == k] for k in (0, 1)]
-        slot = np.empty(len(rows), dtype=np.int32)
-        for member in members:
-            slot[member] = np.arange(len(member), dtype=np.int32)
-        self.slots = [len(member) for member in members]
-        spans = np.column_stack([top_of + 1, span, start])
-        self.spans = [np.take(spans, member, axis=0) for member in members]
+        slot = np.argsort(order)  # each parent's slot
+        self.spans = np.column_stack([top_of + 1, span, start])[order]
         source = np.zeros(len(rows), dtype=np.int32)  # the slot of each parent's parent
         source[1:] = slot[up_of]
-        # per array, the first slot of each (tile, weight) group and after
-        groups = len(self.block_edges) * width - width + 1
-        bounds = [np.searchsorted(group[member], np.arange(groups)).tolist()
-                  for member in members]
-        # per tile: its edge; its levels by weight, (array, slot a, slot b,
-        # the level's parents' parent slots, its top ranks); per class, its
-        # lookup blocks (array, slot a, slot b); per array, the slots that
-        # later tiles read, which a compaction keeps
-        arrays = [(0, 1), ()] if mask is None else [(1,), (0,)]  # looked up per class
-        self.tiles, read = [], [0, 0]
+        # the first slot of each group and after
+        groups = 2 * width * (len(self.block_edges) - 1) + 1
+        bounds = np.searchsorted(group[order], np.arange(groups)).tolist()
+        # per tile: its edge; its levels by weight, (slot a, slot b, the
+        # level's parents' parent slots, its top ranks); per class, its
+        # lookup blocks (slot a, slot b); and the slots that later tiles
+        # read, which a compaction keeps
+        self.tiles, read = [], 0
         for t in range(len(self.block_edges) - 2, -1, -1):  # the last first, for read
-            g = t * width
+            g = 2 * t * width
             levels = []
             for w in range(1, width):
-                a, b = bounds[w % 2][g + w:g + w + 2]
+                k = g + w % 2 * width + w
+                a, b = bounds[k:k + 2]
                 if a < b:
-                    member = members[w % 2][a:b]
-                    levels.append((w % 2, a, b, source[member], top_of[member]))
-            blocks = [[(k, h, min(h + self.lookup_parents, bounds[k][g + width]))
-                       for k in arrays[c]
-                       for h in range(bounds[k][g], bounds[k][g + width], self.lookup_parents)]
-                      for c in (0, 1)]
-            keep = [min(read[k], bounds[k][g + width]) for k in (0, 1)]
-            self.tiles.append((self.block_edges[t + 1], levels, blocks, keep))
-            for k, _, _, parents, _ in levels:
-                read[1 - k] = max(read[1 - k], int(parents.max()) + 1)
+                    member = order[a:b]
+                    levels.append((a, b, source[member], top_of[member]))
+            lo, mid, hi = bounds[g:g + 2 * width + 1:width]
+            # class c looks up the parents of parity 1 - c; on one-class
+            # codes class 0 looks up both, a parity at a time
+            pieces = [[(lo, mid), (mid, hi)], []] if mask is None else [[(mid, hi)], [(lo, mid)]]
+            blocks = [[(h, min(h + self.lookup_parents, b)) for a, b in piece
+                       for h in range(a, b, self.lookup_parents)] for piece in pieces]
+            self.tiles.append((self.block_edges[t + 1], levels, blocks, min(read, hi)))
+            for _, _, parents, _ in levels:
+                read = max(read, int(parents.max()) + 1)
         self.tiles.reverse()
 
     def _build_lookup(self, cols: np.ndarray) -> None:
@@ -443,16 +438,16 @@ class SoftEngine(_RankPatterns):
         # rank[f, bit]: frame f's 0-based rank of bit; bit -1, the pad, rank n
         rank = np.full((len(frames), perms.shape[1] + 1), perms.shape[1], dtype=perms.dtype)
         rank[frames[:, None], perms] = np.arange(perms.shape[1])
-        u = [np.empty((slots, len(frames)), dtype=sigma.dtype) for slots in self.slots]
-        u[0][0] = targets
+        u = np.empty((len(self.spans), len(frames)), dtype=sigma.dtype)
+        u[0] = targets
         for hi, levels, blocks, keep in self.tiles:
-            for k, a, b, parents, tops in levels:
+            for a, b, parents, tops in levels:
                 # clip, as a raising take buffers out
-                level = u[k][a:b]
-                np.take(u[1 - k], parents, axis=0, out=level, mode="clip")
-                level ^= np.take(sigma, tops, axis=0)
-            for k, a, b in blocks[c]:
-                self._lookup(u[k][a:b], self.spans[k][a:b], rank, frames, first)
+                level = u[a:b]
+                np.take(sigma, tops, axis=0, out=level, mode="clip")
+                level ^= np.take(u, parents, axis=0)
+            for a, b in blocks[c]:
+                self._lookup(u[a:b], self.spans[a:b], rank, frames, first)
             live = first >= hi
             if np.count_nonzero(live) <= self.compact_live * len(frames):
                 pos[frames[~live]] = first[~live]
@@ -462,9 +457,9 @@ class SoftEngine(_RankPatterns):
                 sigma = np.compress(live, sigma, axis=1)
                 # later tiles fill their own slots: copy only what they read,
                 # C-ordered for the row gathers
-                for k, x in enumerate(u):
-                    u[k] = np.empty((len(x), len(frames)), dtype=x.dtype)
-                    np.compress(live, x[:keep[k]], axis=1, out=u[k][:keep[k]])
+                kept = np.empty((len(u), len(frames)), dtype=u.dtype)
+                np.compress(live, u[:keep], axis=1, out=kept[:keep])
+                u = kept
         pos[frames] = np.where(first < self.pattern_count, first, -1)
         return pos
 

@@ -119,7 +119,8 @@ class LatencyModel:
         """Search time step at which a nonclean frame finishes. A hit's flip
         count w = len(trace.ranks) sets it: step w for w <= 2, else the step
         of its anchor, the first w - 2 ranks. A hit the schedule cannot
-        make, by its weight or by a rank above gamma_w, is refused."""
+        make, by its weight or by ranks that do not ascend strictly within
+        [1, gamma_w], is refused."""
         bases, last = self._anchor_steps
         if trace.outcome == ABANDONED:
             return last
@@ -128,7 +129,8 @@ class LatencyModel:
         if trace.ranks is None:
             raise ValueError("hit trace must carry its ranks")
         gammas, w = self.schedule.gammas, len(trace.ranks)
-        if not 0 < w <= len(gammas) or trace.ranks[-1] > gammas[w - 1]:
+        if not (0 < w <= len(gammas) and all(
+                a < b for a, b in zip((0, *trace.ranks), (*trace.ranks, gammas[w - 1] + 1)))):
             raise ValueError(f"schedule has no weight-{w} entry holding {trace.ranks}")
         if w <= 2:
             return w

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -372,6 +373,12 @@ class TinyTiles(SoftEngine):
     slice_frames = 3
 
 
+class CompactingTinyTiles(TinyTiles):
+    """TinyTiles that compacts each slice after every tile."""
+
+    compact_live = 1.0
+
+
 def systematic_code(p_rows, n, k):
     """The [I | P] code whose P has the given rows: H's column i < k is P's
     row i, so a zero row makes a zero column and equal rows equal columns."""
@@ -454,8 +461,8 @@ class TestColumnLookup:
         engine = engine_class(code, HandBuilt(*self.GAPPED))
         # per parent row, its span: the ranks from above its top to its
         # children's highest, (first rank, length)
-        spans = {int(r): tuple(span[:2]) for rows, spans in zip(slot_parents(engine), engine.spans)
-                 for r, span in zip(rows, spans.tolist())}
+        spans = {int(r): tuple(span[:2])
+                 for r, span in zip(slot_parents(engine), engine.spans.tolist())}
         assert spans == {-1: (0, 8), 0: (1, 5), 1: (4, 6), 2: (3, 5), 3: (2, 3)}
         assert engine.child_at.size == 27  # 16 gaps, each past the stream
         assert np.count_nonzero(engine.child_at == engine.pattern_count) == 16
@@ -527,17 +534,45 @@ def index_arrays(engine):
 
 
 def slot_parents(engine):
-    """Per parity array, each slot's parent row (-1, the empty pattern, for
-    slot 0 of the even array), read back through its first child."""
-    found = []
-    for spans in engine.spans:
-        rows = []
-        for first_rank, span, start in spans.tolist():
-            children = engine.child_at[start:start + span]
-            child = children[children < engine.pattern_count]
-            rows.append(int(engine.parent[child[0]]))
-        found.append(np.array(rows, dtype=np.int64))
-    return found
+    """Each slot's parent row (-1, the empty pattern, for slot 0), read back
+    through its first child."""
+    rows = []
+    for first_rank, span, start in engine.spans.tolist():
+        children = engine.child_at[start:start + span]
+        child = children[children < engine.pattern_count]
+        rows.append(int(engine.parent[child[0]]))
+    return np.array(rows, dtype=np.int64)
+
+
+def check_slot_layout(engine, one_class):
+    """The slots hold every parent once, in (tile, weight parity, weight,
+    row) order; each tile's levels fill its slots from parent slots a
+    weight below; and class c looks up the tile's parents of parity 1 - c,
+    or class 0 all of them, a parity at a time, when one_class."""
+    found = slot_parents(engine)
+    first_child = {}
+    for row, p in enumerate(engine.parent.tolist()):
+        first_child.setdefault(p, row)
+    assert found[0] == -1
+    assert sorted(found.tolist()) == sorted(first_child)
+    weights = (stream_ranks(engine) < engine.code.n).sum(axis=1)
+    weight = np.where(found >= 0, weights[found], 0)
+    tile = tile_of(engine, [first_child[r] for r in found.tolist()])
+    assert (np.lexsort((found, weight, weight % 2, tile)) == np.arange(len(found))).all()
+    for t, (_, levels, blocks, _) in enumerate(engine.tiles):
+        filled = []
+        for a, b, parents, tops in levels:
+            assert (weight[a:b] == weight[a]).all() and (weight[parents] == weight[a] - 1).all()
+            assert (found[parents] == engine.parent[found[a:b]]).all()
+            assert (tops == engine.top[found[a:b]]).all()
+            filled += range(a, b)
+        assert sorted(filled) == [i for i in np.flatnonzero(tile == t) if i > 0]
+        for c in (0, 1):
+            looked = [i for a, b in blocks[c] for i in range(a, b)]
+            assert all(len({*weight[a:b] % 2}) == 1 for a, b in blocks[c])
+            assert all(b - a <= engine.lookup_parents for a, b in blocks[c])
+            want = (tile == t) & ((c == 0) if one_class else (weight % 2 != c))
+            assert looked == np.flatnonzero(want).tolist()
 
 
 class TestParentAndLeafRows:
@@ -691,27 +726,12 @@ class TestParityClasses:
     # on codes with only even-weight codewords a frame tests only the rows
     # of its hard word's weight parity
     @pytest.mark.parametrize("engine_class", [SoftEngine, SmallTiles])
-    def test_parent_arrays_split_by_weight_parity(self, engine_class):
+    def test_parent_slots_in_tile_parity_weight_order(self, engine_class):
         rng = np.random.default_rng(59)
         code = extended_code(rng, 24, 12)
         engine = engine_class(code, OrbgrandSpec(lw_max=30, p_max=4))
         assert engine.class_mask == weight_parity_mask(code)
-        weights = (stream_ranks(engine) < code.n).sum(axis=1)
-        first_child = {}
-        for row, p in enumerate(engine.parent.tolist()):
-            first_child.setdefault(p, row)
-        found = slot_parents(engine)
-        assert found[0][0] == -1  # the empty pattern: slot 0, even
-        assert sorted(np.concatenate(found).tolist()) == sorted(first_child)
-        for k, rows in enumerate(found):
-            weight = np.where(rows >= 0, weights[rows], 0)
-            assert (weight % 2 == k).all()
-            # (tile of the first child, weight, row) ascending
-            tile = tile_of(engine, [first_child[r] for r in rows.tolist()])
-            assert (np.lexsort((rows, weight, tile)) == np.arange(len(rows))).all()
-        # a class c slice looks up the parents of the other parity
-        for _, _, blocks, _ in engine.tiles:
-            assert all(block[0] == 1 - c for c in (0, 1) for block in blocks[c])
+        check_slot_layout(engine, one_class=False)
         if engine_class is SmallTiles:
             assert len(engine.tiles) > 1
 
@@ -721,14 +741,28 @@ class TestParityClasses:
         for code in (build_bch(4, 2), random_code(rng, 24, 12)):
             engine = engine_class(code, OrbgrandSpec(lw_max=30, p_max=4))
             assert engine.class_mask == 0
-            # class 0 looks up both arrays in every tile, class 1 holds no frame
-            for _, _, blocks, _ in engine.tiles:
-                assert {b[0] for b in blocks[0]} <= {0, 1} and not blocks[1]
-            assert {b[0] for _, _, blocks, _ in engine.tiles for b in blocks[0]} == {0, 1}
+            # class 0 looks up every parent in every tile, class 1 holds no frame
+            check_slot_layout(engine, one_class=True)
             frames = nonclean_frames(code, rng, 13)
             pos = search(engine, frames, packed_parity_columns(code))
             assert pos.tolist() == [first_match(engine, p, packed_parity_columns(code), t)
                                     for _, p, t in frames]
+
+    def test_compaction_after_every_tile(self):
+        # every slice drops its resolved frames after each tile and keeps
+        # only the slots that later tiles read
+        rng = np.random.default_rng(63)
+        for code, even in ((extended_code(rng, 24, 12), True), (random_code(rng, 23, 12), False)):
+            for spec in (OrbgrandSpec(lw_max=30, p_max=4), StepGrandSpec(1, 5, 4)):
+                engine = CompactingTinyTiles(code, spec)
+                assert bool(engine.class_mask) == even
+                frames = nonclean_frames(code, rng, 20, ebn0=0.0)
+                pos = search(engine, frames, packed_parity_columns(code))
+                flips = engine.flip_mask(np.array([f[1] for f in frames]), pos)
+                for (v, _, _), p, row in zip(frames, pos, flips):
+                    want = literal_outcome(v, code, spec)
+                    assert (p, tuple(np.flatnonzero(row).tolist())) == want
+                assert (pos < 0).any() and len(set(tile_of(engine, pos[pos >= 0]))) > 3
 
     @pytest.mark.parametrize("classes", [(0, 1), (1, 1, 0), (0, 0, 1, 0, 1, 1)],
                              ids=["alternate", "two-to-one", "runs"])
@@ -984,3 +1018,33 @@ class TestEngineContract:
             want = literal_outcome(v, code, engine.spec)
             assert (p, tuple(np.flatnonzero(row).tolist())) == want
             assert (report.stream_position, report.positions) == want
+
+
+class TestPositionPin:
+    # SoftEngine.search positions on fixed 3 dB chunks of the bench's three
+    # soft specs, float and quantized, as one digest per spec: a change to
+    # the engine's layout that moves any position fails here
+    PINS = {
+        "capolar128 stepgrand(a=2,b=6,p=6)": "826b7e1d7a3d4347",
+        "bch127 stepgrand(a=2,b=7,p=6)": "9074b8664e189779",
+        "capolar128 orbgrand(lw=64,p=6)": "1bf0e338083252b4",
+    }
+
+    def test_positions_match_their_digests(self):
+        codes = {"capolar128": build_ca_polar(128, 105), "bch127": build_bch(7, 3)}
+        specs = [("capolar128", StepGrandSpec(2, 6, 6)), ("bch127", StepGrandSpec(2, 7, 6)),
+                 ("capolar128", OrbgrandSpec(64, 6))]
+        found = {}
+        for code_name, spec in specs:
+            code = codes[code_name]
+            engine = SoftEngine(code, spec)
+            cols = packed_parity_columns(code)
+            digest = hashlib.sha256()
+            for quantized in (False, True):
+                rng = np.random.default_rng([3, code.n, quantized])
+                frames = nonclean_frames(code, rng, 150, ebn0=3.0, quantized=quantized)
+                pos = search(engine, frames, cols)
+                assert (pos >= 0).any() and (pos < 0).any()
+                digest.update(pos.astype("<i8").tobytes())
+            found[f"{code_name} {spec.label}"] = digest.hexdigest()[:16]
+        assert found == self.PINS

@@ -129,8 +129,10 @@ class TestFrameCycles:
             model.frame_cycles(DecodeTrace(outcome=HIT, ranks=(1, 2, 3, 4, 5, 6, 7)))
         with pytest.raises(ValueError, match="no weight-0 entry"):
             model.frame_cycles(DecodeTrace(outcome=HIT, ranks=()))
-        # gammas (54, 42, 30, 18, 12, 6): each top rank lies past its subset
-        for ranks in ((55,), (100,), (60, 70), (1, 2, 40), (1, 2, 3, 19)):
+        # gammas (54, 42, 30, 18, 12, 6): each top rank lies past its subset,
+        # or the ranks do not ascend strictly from 1
+        for ranks in ((55,), (100,), (60, 70), (1, 2, 40), (1, 2, 3, 19),
+                      (0,), (5, 3), (-4, 2), (3, 3), (2, 1, 3), (1, 3, 2), (1, 2, 2, 4)):
             with pytest.raises(ValueError, match=re.escape(
                     f"no weight-{len(ranks)} entry holding {ranks}")):
                 model.frame_cycles(DecodeTrace(outcome=HIT, ranks=ranks))
