@@ -24,11 +24,11 @@ into a decoder stage, `_decode_chunk`, which takes the syndromes and one
 reliability sort and runs every variant through the same engine contract of
 `fastpath` (stream positions, then flip masks) and takes its cycle counts
 from `hwmodel`'s step table, indexed by those stream positions. A chunk
-returns its statistics as int64 arrays with one row per variant: sums
-(frame errors, bit errors, queries, cycles), peaks (worst-case queries and
-cycles) and the discordant-frame matrix, which is the product E (1 - E)^T
-of the (variant, frame) error-flag matrix E. A point adds sums and discord
-matrices chunk by chunk and keeps the elementwise maximum of the peaks.
+returns named int64 counts, one per variant (frame errors, bit errors,
+queries, cycles and their worst cases), and the discordant-frame matrix
+E (1 - E)^T of the (variant, frame) error-flag matrix E. `_FOLDS` says how
+a point folds each count across chunks, by sum or by maximum, so a new
+count is one tally in `_decode_chunk` and one `_FOLDS` entry.
 """
 
 from __future__ import annotations
@@ -116,18 +116,20 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class PointStats:
-    """Aggregates for one decoder variant at one Eb/N0 point."""
+    """Aggregates for one decoder variant at one Eb/N0 point: the totals
+    frame_errors, bit_errors, queries and cycles and their worst cases wc_*;
+    the cycle fields are None for a variant without a latency model."""
 
     ebn0_db: float
     frames: int
-    frame_errors: int
-    bit_errors: int
-    avg_queries: float
-    avg_cycles: float | None
-    wc_queries_obs: int
-    wc_cycles_obs: int | None
     capped: bool
     k: int  # message length, so ber needs no code handle
+    frame_errors: int
+    bit_errors: int
+    queries: int
+    cycles: int | None
+    wc_queries_obs: int
+    wc_cycles_obs: int | None
 
     @property
     def fer(self) -> float:
@@ -136,6 +138,14 @@ class PointStats:
     @property
     def ber(self) -> float:
         return self.bit_errors / (self.frames * self.k)
+
+    @property
+    def avg_queries(self) -> float:
+        return self.queries / self.frames
+
+    @property
+    def avg_cycles(self) -> float | None:
+        return None if self.cycles is None else self.cycles / self.frames
 
 
 @dataclass(frozen=True)
@@ -174,9 +184,10 @@ def sign_test_pvalue(worse: int, total: int) -> float:
     discordant frames lands on the 'worse' side at least this often."""
     if total < 0 or not 0 <= worse <= total:
         raise ValueError("need 0 <= worse <= total")
-    if total == 0:
-        return 1.0
-    tail = sum(math.comb(total, i) for i in range(worse, total + 1))
+    tail, term = 0, math.comb(total, worse)
+    for i in range(worse, total + 1):  # term = C(total, i), kept exact
+        tail += term
+        term = term * (total - i) // (i + 1)
     return float(Fraction(tail, 1 << total))
 
 
@@ -186,6 +197,11 @@ def sign_test_pvalue(worse: int, total: int) -> float:
 # Module-level state so process pools can build the heavy tables once per
 # worker instead of pickling them with every chunk.
 _STATE: dict = {}
+
+# how a point folds each count of its chunks: worst cases by maximum, the rest by sum
+_FOLDS = {"frame_errors": np.add, "bit_errors": np.add, "queries": np.add,
+          "cycles": np.add, "wc_queries_obs": np.maximum,
+          "wc_cycles_obs": np.maximum, "discord": np.add}
 
 
 def _latency_model(spec: DecoderSpec, n: int) -> LatencyModel | None:
@@ -243,7 +259,7 @@ def _syndromes(hard: np.ndarray) -> np.ndarray:
 
 
 def _decode_chunk(cw: np.ndarray, received: SoftVector):
-    """Every variant on the same frames, as (frames, sums, peaks, discord)."""
+    """Every variant on the same frames, as (frames, counts by name)."""
     frames_used = len(cw)
     hard = harden(received)
     e_true = hard ^ cw
@@ -257,8 +273,7 @@ def _decode_chunk(cw: np.ndarray, received: SoftVector):
         perms = sort_reliability(received.llr[nonclean])
 
     v = len(_STATE["engines"])
-    sums = np.zeros((v, 4), dtype=np.int64)
-    peaks = np.zeros((v, 2), dtype=np.int64)
+    counts = {name: np.zeros(v, dtype=np.int64) for name in _FOLDS if name != "discord"}
     errors = np.empty((v, frames_used), dtype=bool)
     for i, (engine, model) in enumerate(zip(_STATE["engines"], _STATE["models"])):
         pos = engine.search(perms, _STATE["cols"], targets)
@@ -269,17 +284,19 @@ def _decode_chunk(cw: np.ndarray, received: SoftVector):
         residual = e_true.copy()
         residual[nonclean] ^= engine.flip_mask(perms, pos)
         err = errors[i] = residual.any(axis=1)
-        bit_errors = gf2_product(residual[err], _STATE["g_inv32"]).sum()
-        sums[i, :3] = err.sum(), bit_errors, queries.sum()
-        peaks[i, 0] = queries.max()
+        counts["frame_errors"][i] = err.sum()
+        counts["bit_errors"][i] = gf2_product(residual[err], _STATE["g_inv32"]).sum()
+        counts["queries"][i] = queries.sum()
+        counts["wc_queries_obs"][i] = queries.max()
         if model:
             frame_lat, pipe = model.cycles_from_steps(model.stream_steps[pos])
             # clean frames cost one cycle on both counters
-            sums[i, 3] = frames_used - nonclean.size + pipe.sum()
-            peaks[i, 1] = frame_lat.max(initial=1)
+            counts["cycles"][i] = frames_used - nonclean.size + pipe.sum()
+            counts["wc_cycles_obs"][i] = frame_lat.max(initial=1)
 
     e = errors.astype(np.int64)
-    return frames_used, sums, peaks, e @ (1 - e).T
+    counts["discord"] = e @ (1 - e).T
+    return frames_used, counts
 
 
 # ---------------------------------------------------------------------------
@@ -310,37 +327,26 @@ def _results_in_order(cfg: SweepConfig, point_index: int, ebn0: float,
 
 
 def _simulate_point(cfg: SweepConfig, point_index: int, ebn0: float,
-                    executor, timed: Sequence[bool]) -> ComparePoint:
-    v = len(cfg.variants)
-    sums = np.zeros((v, 4), dtype=np.int64)
-    peaks = np.zeros((v, 2), dtype=np.int64)
-    discord = np.zeros((v, v), dtype=np.int64)
+                    executor) -> ComparePoint:
+    total = dict.fromkeys(_FOLDS, 0)  # counts are >= 0, so 0 is either fold's identity
     frames = 0
     capped = True
-    for frames_used, chunk_sums, chunk_peaks, chunk_discord in _results_in_order(
-        cfg, point_index, ebn0, executor
-    ):
+    for frames_used, counts in _results_in_order(cfg, point_index, ebn0, executor):
         frames += frames_used
-        sums += chunk_sums
-        np.maximum(peaks, chunk_peaks, out=peaks)
-        discord += chunk_discord
-        if (sums[:, 0] >= cfg.min_frame_errors).all():
+        total = {name: fold(total[name], counts[name]) for name, fold in _FOLDS.items()}
+        if (total["frame_errors"] >= cfg.min_frame_errors).all():
             capped = False
             break
     stats = []
-    for has_cycles, (errors, bit_errors, queries, cycles), (wc_q, wc_c) in zip(
-        timed, sums.tolist(), peaks.tolist()
-    ):
-        stats.append(PointStats(
-            ebn0_db=ebn0, frames=frames, frame_errors=errors,
-            bit_errors=bit_errors, avg_queries=queries / frames,
-            avg_cycles=cycles / frames if has_cycles else None,
-            wc_queries_obs=wc_q, wc_cycles_obs=wc_c if has_cycles else None,
-            capped=capped, k=cfg.code.k,
-        ))
+    for i in range(len(cfg.variants)):
+        row = {name: int(total[name][i]) for name in _FOLDS if name != "discord"}
+        # a modelled frame costs at least one cycle: a worst case of 0 means no model
+        if row["wc_cycles_obs"] == 0:
+            row["cycles"] = row["wc_cycles_obs"] = None
+        stats.append(PointStats(ebn0, frames, capped, cfg.code.k, **row))
     return ComparePoint(
         ebn0_db=ebn0, frames=frames, capped=capped, stats=tuple(stats),
-        discordant=tuple(map(tuple, discord.tolist())),
+        discordant=tuple(map(tuple, total["discord"].tolist())),
     )
 
 
@@ -360,10 +366,9 @@ def _simulate(cfg: SweepConfig) -> list[ComparePoint]:
             initializer=_init_worker,
             initargs=(cfg.code, cfg.variants, cfg.quantize),
         )
-    timed = [_latency_model(spec, cfg.code.n) is not None for spec in cfg.variants]
     with pool as executor:
         return [
-            _simulate_point(cfg, pi, ebn0, executor, timed)
+            _simulate_point(cfg, pi, ebn0, executor)
             for pi, ebn0 in enumerate(cfg.ebn0_db)
         ]
 
@@ -409,23 +414,16 @@ def _metadata_lines(cfg: SweepConfig) -> list[str]:
     return lines
 
 
-_STAT_COLUMNS = (
-    "frame_errors", "bit_errors", "fer", "ber", "avg_queries", "avg_cycles",
-    "wc_queries_obs", "wc_cycles_obs",
-)
+# a variant's CSV columns, each a PointStats attribute, with its format
+_STAT_COLUMNS = {"frame_errors": "d", "bit_errors": "d", "fer": ".6e", "ber": ".6e",
+                 "avg_queries": ".6f", "avg_cycles": ".6f", "wc_queries_obs": "d",
+                 "wc_cycles_obs": "d"}
 
 
 def _stat_cells(s: PointStats) -> list[str]:
-    return [
-        str(s.frame_errors),
-        str(s.bit_errors),
-        format(s.fer, ".6e"),
-        format(s.ber, ".6e"),
-        format(s.avg_queries, ".6f"),
-        "" if s.avg_cycles is None else format(s.avg_cycles, ".6f"),
-        str(s.wc_queries_obs),
-        "" if s.wc_cycles_obs is None else str(s.wc_cycles_obs),
-    ]
+    values = (getattr(s, column) for column in _STAT_COLUMNS)
+    # a variant without a cycle model leaves its cycle cells empty
+    return ["" if x is None else format(x, f) for x, f in zip(values, _STAT_COLUMNS.values())]
 
 
 def open_output(out):

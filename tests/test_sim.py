@@ -1,7 +1,7 @@
 import math
 import re
 import signal
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -163,12 +163,13 @@ class TestChunkStages:
         monkeypatch.setattr(sim, "_STATE", {})
         sim._init_worker(code, variants, False)
         msgs, cw, received = self.hand_built_frames()
-        frames, sums, peaks, discord = sim._decode_chunk(cw, received)
+        frames, counts = sim._decode_chunk(cw, received)
 
         m, v = len(msgs), len(variants)
         errors = np.zeros((v, m), dtype=np.int64)
-        want_sums = np.zeros((v, 4), dtype=np.int64)
-        want_peaks = np.zeros((v, 2), dtype=np.int64)
+        names = ("frame_errors", "bit_errors", "queries", "cycles",
+                 "wc_queries_obs", "wc_cycles_obs")
+        want = {name: [0] * v for name in names}
         kinds = set()
         for i, spec in enumerate(variants):
             model = sim._latency_model(spec, code.n)
@@ -183,23 +184,32 @@ class TestChunkStages:
                     guessed = result.codeword
                     if guessed is None:
                         guessed = BitWord.from_array((llr < 0).astype(np.uint8))
-                    want_sums[i, 1] += (code.recover_message(guessed) ^ msg).weight()
-                want_sums[i, 2] += result.queries
-                want_peaks[i, 0] = max(want_peaks[i, 0], result.queries)
+                    want["bit_errors"][i] += (code.recover_message(guessed) ^ msg).weight()
+                want["queries"][i] += result.queries
+                want["wc_queries_obs"][i] = max(want["wc_queries_obs"][i], result.queries)
                 if model:
-                    want_sums[i, 3] += model.pipeline_cycles(result.trace)
-                    want_peaks[i, 1] = max(want_peaks[i, 1],
-                                           model.frame_cycles(result.trace))
-            want_sums[i, 0] = errors[i].sum()
+                    want["cycles"][i] += model.pipeline_cycles(result.trace)
+                    want["wc_cycles_obs"][i] = max(want["wc_cycles_obs"][i],
+                                                   model.frame_cycles(result.trace))
+            want["frame_errors"][i] = int(errors[i].sum())
+        want["discord"] = (errors @ (1 - errors).T).tolist()
         assert kinds == {(CLEAN, False), (CLEAN, True), (HIT, False), (HIT, True),
                          (ABANDONED, True)}
         # each variant errs on a frame the other decodes
         assert errors[0, 4] and not errors[1, 4]
         assert errors[1, 5] and not errors[0, 5]
         assert frames == m
-        assert sums.tolist() == want_sums.tolist()
-        assert peaks.tolist() == want_peaks.tolist()
-        assert discord.tolist() == (errors @ (1 - errors).T).tolist()
+        assert {name: c.tolist() for name, c in counts.items()} == want
+
+    def test_fold_table_covers_every_count(self, monkeypatch):
+        # a new count is one tally in _decode_chunk and one _FOLDS entry;
+        # every per-variant count reaches PointStats by its name
+        monkeypatch.setattr(sim, "_STATE", {})
+        sim._init_worker(self.code, self.variants, False)
+        _, cw, received = self.hand_built_frames()
+        _, counts = sim._decode_chunk(cw, received)
+        assert counts.keys() == sim._FOLDS.keys()
+        assert counts.keys() - {"discord"} <= {f.name for f in fields(sim.PointStats)}
 
     def test_each_stage_runs_once_per_chunk(self, monkeypatch):
         # wrap each stage by module attribute, as a layer tracer does; a
@@ -518,6 +528,13 @@ class TestStatisticsHelpers:
         with pytest.raises(ValueError):
             wilson_interval(6, 5)
 
+    def test_sign_test_matches_binomial_tail_sum(self):
+        rng = np.random.default_rng(3)
+        for total in [*range(8), *rng.integers(8, 300, size=40).tolist()]:
+            for worse in {0, total, *rng.integers(0, total + 1, size=5).tolist()}:
+                tail = sum(math.comb(total, i) for i in range(worse, total + 1))
+                assert sign_test_pvalue(worse, total) == tail / 2**total
+
     def test_sign_test_exact_values(self):
         assert sign_test_pvalue(0, 0) == 1.0
         assert sign_test_pvalue(3, 3) == pytest.approx(0.125)
@@ -525,6 +542,8 @@ class TestStatisticsHelpers:
         assert sign_test_pvalue(0, 5) == 1.0
         # tail sums: P(X >= 8 | n=10) = (45 + 10 + 1) / 1024
         assert sign_test_pvalue(8, 10) == pytest.approx(56 / 1024)
+        # an odd total splits the binomial into two equal halves, exactly
+        assert sign_test_pvalue(50_001, 100_001) == 0.5
         with pytest.raises(ValueError):
             sign_test_pvalue(4, 3)
 
