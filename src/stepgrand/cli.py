@@ -4,18 +4,18 @@
 ``"stepgrand(a=2,b=6,p=6)"``, and the run emits the sweep CSV; a
 semicolon-separated list of variants, e.g.
 ``"grandab(ab=3);stepgrand(a=2,b=6,p=6)"``, emits the paired comparison
-CSV instead.
+CSV instead. ``decoder.parse_variant`` reads a variant, from the ``name``
+and ``keys`` its spec class declares.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import re
 import sys
 
 from .codes import build_bch, build_ca_polar, load_alist, load_dense_generator
-from .decoder import DecoderSpec, GrandabSpec, OrbgrandSpec, StepGrandSpec
+from .decoder import parse_variant
 from .sim import SweepConfig, compare_decoders, open_output, run_sweep
 
 # each point is a sweep and a CSV row; a range with more is refused unbuilt
@@ -66,51 +66,6 @@ def parse_ebn0(text: str) -> tuple[float, ...]:
         raise ValueError(f"ebn0 step of {text!r} is below the 1e-9 dB"
                          " resolution, so points repeat")
     return points
-
-
-# per decoder: its spec class and, per variant key, the spec field the key
-# sets, the field's value when the key is not given, and the word its label
-# prints for an unbounded field. OrbgrandSpec() itself is unbounded, so
-# orbgrand's defaults here bound it.
-_VARIANTS = {
-    "grandab": (GrandabSpec, {"ab": ("max_weight", 3, None)}),
-    "orbgrand": (OrbgrandSpec, {"lw": ("lw_max", 64, "full"), "p": ("p_max", 6, "n")}),
-    "stepgrand": (StepGrandSpec, {"a": ("alpha", 2, None), "b": ("beta", 6, None),
-                                  "p": ("p_max", 6, None)}),
-}
-
-
-def parse_variant(text: str) -> DecoderSpec:
-    """Parse 'name' or 'name(key=value,...)', the syntax spec.label prints,
-    into a decoder spec; a key not given takes its default."""
-    m = re.fullmatch(r"\s*([a-z]+)\s*(?:\((.*)\))?\s*", text)
-    if not m:
-        raise ValueError(f"bad variant {text!r}")
-    name, body = m.group(1), m.group(2)
-    if name not in _VARIANTS:
-        raise ValueError(f"unknown decoder {name!r} in {text!r}")
-    spec, keys = _VARIANTS[name]
-    fields = {field: default for field, default, _ in keys.values()}
-    given: set[str] = set()
-    for item in (body or "").split(","):
-        if not item.strip():
-            continue
-        key, sep, value = (part.strip() for part in item.partition("="))
-        if not sep:
-            raise ValueError(f"bad variant parameter {item!r} in {text!r}")
-        if key in given:
-            raise ValueError(f"variant parameter {key!r} given twice in {text!r}")
-        if key not in keys:
-            raise ValueError(f"unknown variant parameter {key!r} in {text!r}")
-        given.add(key)
-        field, _, unbounded = keys[key]
-        try:
-            fields[field] = None if value == unbounded else int(value)
-        except ValueError:
-            raise ValueError(
-                f"variant parameter {key!r} needs an integer, got {value!r}"
-            ) from None
-    return spec(**fields)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,8 +13,9 @@ recomputes every syndrome from scratch as a cross-check path.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -153,13 +154,29 @@ def decode(
 # ---------------------------------------------------------------------------
 # Decoder variants
 
-# Each variant bundles a label for reports, whether it needs the per-frame
-# reliability sort, the pattern stream and its (parent, top) arrays
-# (`rank_table`), and the stream length (the worst-case pattern test count;
-# the initial hard-word check is not included).
+# Each variant bundles its text form (`name` and `keys`, from which `label`
+# prints it and `parse_variant` reads it back), whether it needs the
+# per-frame reliability sort, the pattern stream and its (parent, top)
+# arrays (`rank_table`), and the stream length (the worst-case pattern test
+# count; the initial hard-word check is not included).
 
 
-class _SubsetStream:
+class _Variant:
+    """A spec's text form, name(key=value,...): keys maps each key to the
+    dataclass field it sets and the word that stands for None, an unbounded
+    field (None where the field is always bounded)."""
+
+    name: ClassVar[str]
+    keys: ClassVar[dict[str, tuple[str, str | None]]]
+
+    @property
+    def label(self) -> str:
+        values = ((key, getattr(self, field), word) for key, (field, word) in self.keys.items())
+        return f"{self.name}(" + ",".join(
+            f"{key}={word if value is None else value}" for key, value, word in values) + ")"
+
+
+class _SubsetStream(_Variant):
     """A stream of weights 1, 2, ... in turn, weight w over the gammas(n)[w - 1]
     least reliable ranks; a subclass supplies gammas."""
 
@@ -179,11 +196,9 @@ class GrandabSpec(_SubsetStream):
 
     max_weight: int = 3
 
+    name = "grandab"
+    keys = {"ab": ("max_weight", None)}
     uses_sorting = False
-
-    @property
-    def label(self) -> str:
-        return f"grandab(ab={self.max_weight})"
 
     def gammas(self, n: int) -> tuple[int, ...]:
         if not 0 <= self.max_weight <= n:
@@ -192,20 +207,16 @@ class GrandabSpec(_SubsetStream):
 
 
 @dataclass(frozen=True)
-class OrbgrandSpec:
-    """Soft-input sweep in increasing logistic weight, optionally truncated
-    to lw_max and at most p_max flips. None leaves either unbounded."""
+class OrbgrandSpec(_Variant):
+    """Soft-input sweep in increasing logistic weight, truncated to lw_max
+    and at most p_max flips. None leaves either unbounded."""
 
-    lw_max: int | None = None
-    p_max: int | None = None
+    lw_max: int | None = 64
+    p_max: int | None = 6
 
+    name = "orbgrand"
+    keys = {"lw": ("lw_max", "full"), "p": ("p_max", "n")}
     uses_sorting = True
-
-    @property
-    def label(self) -> str:
-        lw = "full" if self.lw_max is None else str(self.lw_max)
-        p = "n" if self.p_max is None else str(self.p_max)
-        return f"orbgrand(lw={lw},p={p})"
 
     def teps(self, n: int) -> Iterable[tuple[int, ...]]:
         return orbgrand_teps(n, self.lw_max, self.p_max)
@@ -226,11 +237,9 @@ class StepGrandSpec(_SubsetStream):
     beta: int = 6
     p_max: int = 6
 
+    name = "stepgrand"
+    keys = {"a": ("alpha", None), "b": ("beta", None), "p": ("p_max", None)}
     uses_sorting = True
-
-    @property
-    def label(self) -> str:
-        return f"stepgrand(a={self.alpha},b={self.beta},p={self.p_max})"
 
     def schedule(self, n: int) -> StepSchedule:
         return build_step_schedule(self.alpha, self.beta, self.p_max, n)
@@ -240,6 +249,38 @@ class StepGrandSpec(_SubsetStream):
 
 
 DecoderSpec = GrandabSpec | OrbgrandSpec | StepGrandSpec
+_SPECS = {spec.name: spec for spec in (GrandabSpec, OrbgrandSpec, StepGrandSpec)}
+
+
+def parse_variant(text: str) -> DecoderSpec:
+    """Parse 'name' or 'name(key=value,...)', the syntax spec.label prints,
+    into a decoder spec; a key not given keeps its field's default."""
+    m = re.fullmatch(r"\s*([a-z]+)\s*(?:\((.*)\))?\s*", text)
+    if not m:
+        raise ValueError(f"bad variant {text!r}")
+    name, body = m.group(1), m.group(2)
+    if name not in _SPECS:
+        raise ValueError(f"unknown decoder {name!r} in {text!r}")
+    spec = _SPECS[name]
+    fields: dict[str, int | None] = {}
+    for item in (body or "").split(","):
+        if not item.strip():
+            continue
+        key, sep, value = (part.strip() for part in item.partition("="))
+        if not sep:
+            raise ValueError(f"bad variant parameter {item!r} in {text!r}")
+        if key not in spec.keys:
+            raise ValueError(f"unknown variant parameter {key!r} in {text!r}")
+        field, unbounded = spec.keys[key]
+        if field in fields:
+            raise ValueError(f"variant parameter {key!r} given twice in {text!r}")
+        try:
+            fields[field] = None if value == unbounded else int(value)
+        except ValueError:
+            raise ValueError(
+                f"variant parameter {key!r} needs an integer, got {value!r}"
+            ) from None
+    return spec(**fields)
 
 
 def worst_case_queries(spec: DecoderSpec, n: int) -> int:

@@ -47,10 +47,7 @@ class StepSchedule:
             raise ValueError(f"subset sizes {self.gammas} grow with the weight")
         for w, gamma in enumerate(self.gammas, start=1):
             if gamma < w:
-                raise ValueError(
-                    f"subset size {gamma} is smaller than weight {w}; "
-                    f"increase beta (beta >= p_max keeps every entry feasible)"
-                )
+                raise ValueError(f"subset size {gamma} is smaller than weight {w}")
 
     @property
     def entries(self) -> tuple[tuple[int, int], ...]:

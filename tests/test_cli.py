@@ -55,9 +55,10 @@ class TestEbn0Parsing:
 
 class TestVariantParsing:
     def test_defaults(self):
-        assert parse_variant("grandab") == GrandabSpec(3)
-        assert parse_variant("orbgrand") == OrbgrandSpec(64, 6)
-        assert parse_variant("stepgrand") == StepGrandSpec(2, 6, 6)
+        # a key not given takes the spec field's default
+        assert parse_variant("grandab") == GrandabSpec(3) == GrandabSpec()
+        assert parse_variant("orbgrand") == OrbgrandSpec(64, 6) == OrbgrandSpec()
+        assert parse_variant("stepgrand") == StepGrandSpec(2, 6, 6) == StepGrandSpec()
 
     def test_explicit_parameters(self):
         assert parse_variant("grandab(ab=2)") == GrandabSpec(2)
@@ -68,7 +69,7 @@ class TestVariantParsing:
     @pytest.mark.parametrize("text", [
         "huffman", "stepgrand(q=1)", "grandab(ab=x)", "grandab(ab)", "(a=1)",
         "stepgrand(a=2,a=3)", "orbgrand(p=4, p=4)", "grandab(ab=full)",
-        "stepgrand(p=n)", "orbgrand(lw=n)",
+        "stepgrand(p=n)", "orbgrand(lw=n)", "orbgrand(p=full)",
     ])
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
@@ -76,7 +77,8 @@ class TestVariantParsing:
 
     @pytest.mark.parametrize("spec", [
         GrandabSpec(), GrandabSpec(0), StepGrandSpec(), StepGrandSpec(1, 8, 4),
-        OrbgrandSpec(), OrbgrandSpec(lw_max=40), OrbgrandSpec(p_max=3),
+        OrbgrandSpec(None, None), OrbgrandSpec(lw_max=40, p_max=None),
+        OrbgrandSpec(lw_max=None, p_max=3),
         OrbgrandSpec(64, 6),
     ], ids=lambda spec: spec.label)
     def test_label_round_trip(self, spec):

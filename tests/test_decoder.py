@@ -1,7 +1,10 @@
+import dataclasses
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stepgrand.channel import SoftVector
 from stepgrand.codes import (
@@ -18,6 +21,7 @@ from stepgrand.decoder import (
     OrbgrandSpec,
     StepGrandSpec,
     decode,
+    parse_variant,
     syndrome_precompute,
     worst_case_queries,
 )
@@ -297,12 +301,30 @@ class TestSupersetDominance:
         assert step_hits > 0
 
 
+SPEC_CLASSES = [GrandabSpec, OrbgrandSpec, StepGrandSpec]
+
+
 class TestVariantSpecs:
     def test_labels(self):
         assert GrandabSpec(3).label == "grandab(ab=3)"
         assert OrbgrandSpec(64, 6).label == "orbgrand(lw=64,p=6)"
-        assert OrbgrandSpec().label == "orbgrand(lw=full,p=n)"
+        assert OrbgrandSpec(None, None).label == "orbgrand(lw=full,p=n)"
         assert StepGrandSpec(2, 6, 6).label == "stepgrand(a=2,b=6,p=6)"
+
+    @pytest.mark.parametrize("spec_class", SPEC_CLASSES, ids=lambda c: c.name)
+    def test_keys_name_every_field_once(self, spec_class):
+        named = [field for field, _ in spec_class.keys.values()]
+        assert sorted(named) == sorted(f.name for f in dataclasses.fields(spec_class))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), spec_class=st.sampled_from(SPEC_CLASSES))
+    def test_label_reads_back_as_the_spec(self, data, spec_class):
+        values = {}
+        for field, unbounded in spec_class.keys.values():
+            value = st.integers(-2**64, 2**64)
+            values[field] = data.draw(value if unbounded is None else value | st.none())
+        spec = spec_class(**values)
+        assert parse_variant(spec.label) == spec
 
     def test_worst_case_queries(self):
         assert worst_case_queries(GrandabSpec(3), 128) == 349_632
@@ -313,7 +335,7 @@ class TestVariantSpecs:
 
     def test_orbgrand_defaults_cover_everything(self):
         n = 6
-        full = OrbgrandSpec()
+        full = OrbgrandSpec(None, None)
         assert worst_case_queries(full, n) == (1 << n) - 1
 
     def test_abandoned_queries_hit_worst_case_plus_one(self):

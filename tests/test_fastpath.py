@@ -254,7 +254,7 @@ def first_match(engine, perm, cols, target):
 
 class TestBatchedSoftSearch:
     # streams short enough for the literal decoder on every frame
-    SPECS = [OrbgrandSpec(lw_max=30, p_max=4), OrbgrandSpec(p_max=2),
+    SPECS = [OrbgrandSpec(lw_max=30, p_max=4), OrbgrandSpec(lw_max=None, p_max=2),
              StepGrandSpec(1, 5, 4)]
 
     # even: a random code extended by a parity bit, whose frames split
@@ -325,7 +325,7 @@ class TestBatchedSoftSearch:
     def test_wide_table(self):
         # ten-rank rows at n = 128: 70 bits as seven bits per rank
         code = build_ca_polar(128, 105)
-        spec = OrbgrandSpec(lw_max=55)
+        spec = OrbgrandSpec(lw_max=55, p_max=None)
         engine = SoftEngine(code, spec)
         weights = (stream_ranks(engine) < code.n).sum(axis=1)
         assert weights.max() == 10
@@ -636,7 +636,8 @@ class TestParentAndLeafRows:
         assert pos.tolist() == [row] + [-1] * (engine.slice_frames - 1)
 
     @pytest.mark.parametrize("engine_class", [SoftEngine, SmallTiles])
-    @pytest.mark.parametrize("spec", [OrbgrandSpec(lw_max=0), OrbgrandSpec(p_max=1),
+    @pytest.mark.parametrize("spec", [OrbgrandSpec(lw_max=0, p_max=None),
+                                      OrbgrandSpec(lw_max=None, p_max=1),
                                       StepGrandSpec(1, 6, 1)], ids=lambda s: s.label)
     def test_degenerate_streams(self, spec, engine_class):
         # an empty stream, and streams of leaves only

@@ -19,10 +19,10 @@ from stepgrand.decoder import (
     StepGrandSpec,
     decode,
 )
-from stepgrand.fastpath import build_engine, packed_parity_columns
+from stepgrand.fastpath import HardEngine, build_engine, packed_parity_columns
 from stepgrand.gf2 import BitMatrix, BitWord, gf2_product
 from stepgrand.hwmodel import LatencyModel
-from stepgrand.patterns import chain_ranks
+from stepgrand.patterns import chain_ranks, grown_levels
 from stepgrand.sim import (
     CHUNK_FRAMES,
     SweepConfig,
@@ -84,6 +84,58 @@ class TestAnalyticOracles:
         assert stats.avg_cycles == 1.0
         assert stats.wc_cycles_obs == 1
         assert stats.capped
+
+
+def first_of_coset_counts(code: LinearCode, spec: GrandabSpec) -> list[int]:
+    """N_w, the weight-w error patterns that grandab corrects: the stream
+    rows HardEngine.order keeps, each the first row of its syndrome, less
+    the rows whose syndrome is 0 (codewords, which read as clean frames),
+    and N_0 = 1 for the error-free frame."""
+    engine = HardEngine(code, spec)
+    weight = np.empty(engine.pattern_count, dtype=np.int64)
+    for w, (lo, hi) in enumerate(grown_levels(engine.parent), start=1):
+        weight[lo:hi] = w
+    counts = np.bincount(weight[engine.order[engine.sorted_syn != 0]],
+                         minlength=spec.max_weight + 1)
+    return [1, *counts[1:].tolist()]
+
+
+class TestExactGrandabFer:
+    """With float LLRs the hard decisions see a binary symmetric channel of
+    crossover p = Q(1/sigma), so grandab's FER is exactly
+    1 - sum_w N_w p^w (1 - p)^(n - w). This fixes the channel, sigma's rate
+    convention, hard decisions and the first-hit rule against a number the
+    simulator does not produce. It holds for float LLRs only: the 5-bit
+    quantizer's zero level hardens to bit 0 whatever was sent, so the
+    quantized channel is not symmetric.
+
+    The points, frame count, seed and z below were fixed before the check
+    was first run."""
+
+    FRAMES = 102_400
+    SEED = 3
+    Z = 3.29  # two-sided 0.1%
+    EBN0 = (5.0, 6.0)
+    CODES = {"capolar128": lambda: build_ca_polar(128, 105), "bch127": lambda: build_bch(7, 3)}
+    # N_0..N_3 of grandab(ab=3); bch127 corrects every pattern of weight <= 3
+    COUNTS = {"capolar128": [1, 128, 8077, 319_024], "bch127": [1, 127, 8001, 333_375]}
+
+    @pytest.mark.parametrize("ab", [2, 3])
+    @pytest.mark.parametrize("code_name", list(CODES))
+    def test_fer_inside_the_wilson_interval(self, code_name, ab):
+        code = self.CODES[code_name]()
+        spec = GrandabSpec(ab)
+        counts = first_of_coset_counts(code, spec)
+        assert counts == self.COUNTS[code_name][:ab + 1]
+        cfg = SweepConfig(code=code, variants=(spec,), ebn0_db=self.EBN0,
+                          min_frame_errors=10**9, max_frames=self.FRAMES, seed=self.SEED)
+        for stats in run_sweep(cfg):
+            p = q_function(1.0 / noise_sigma(stats.ebn0_db, code.k / code.n))
+            exact = 1.0 - sum(c * p**w * (1.0 - p) ** (code.n - w)
+                              for w, c in enumerate(counts))
+            lo, hi = wilson_interval(stats.frame_errors, stats.frames, z=self.Z)
+            assert stats.frames == self.FRAMES
+            assert lo <= exact <= hi, (stats.ebn0_db, exact, stats.fer)
 
 
 class TestChunkZeroMirrorsLiteralDecoder:
@@ -393,7 +445,7 @@ class TestConfigValidation:
         SweepConfig(code=code, variants=(GrandabSpec(4),), ebn0_db=(1.0,))
         for spec, count in ((GrandabSpec(5), 275_584_032),
                             (StepGrandSpec(1, 12, 10), 171_330_665),
-                            (OrbgrandSpec(), 2**128 - 1)):
+                            (OrbgrandSpec(None, None), 2**128 - 1)):
             limit = sim.MAX_TABLE_PATTERNS
             with pytest.raises(ValueError, match=f"{count} patterns .* limit of {limit}"):
                 SweepConfig(code=code, variants=(GrandabSpec(1), spec),
